@@ -76,8 +76,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _prime(text: str) -> int:
-    value = int(text)
+    value = _non_negative(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"p must be prime, got {value}")
     return value
@@ -111,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hilbert", help="graded dimensions via the series operator")
     add_common(sp)
-    sp.add_argument("--max-degree", type=int, help="cap on the homological degree")
+    sp.add_argument("--max-degree", type=_non_negative, help="cap on the homological degree")
 
     sp = sub.add_parser("multiply", help="signed product of two basis records")
     add_common(sp, q=False)
@@ -129,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     osp = osub.add_parser("quotient-dims", help="graded dimensions of the quotient")
     add_presentation_args(osp)
-    osp.add_argument("--max-degree", type=int, required=True)
+    osp.add_argument("--max-degree", type=_non_negative, required=True)
     osp.add_argument("--source", help="restrict to the column of one vertex")
     osp.add_argument("--with-paths", action="store_true")
 
     osp = osub.add_parser("ext", help="Ext dimensions between the simples")
     add_presentation_args(osp)
-    osp.add_argument("--max-n", type=int, required=True)
+    osp.add_argument("--max-n", type=_non_negative, required=True)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--suite", choices=("fast", "full"), default="fast")
@@ -152,8 +158,11 @@ def _load_presentation(args, parser) -> oracle.QuiverPresentation:
             return oracle.builtin_presentation(args.name, args.p)
         except oracle.UnknownPresentationError as exc:
             parser.error(str(exc))
-    with open(args.presentation, encoding="utf-8") as fh:
-        return oracle.QuiverPresentation.loads(fh.read())
+    try:
+        with open(args.presentation, encoding="utf-8") as fh:
+            return oracle.QuiverPresentation.loads(fh.read())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        parser.error(f"cannot load presentation {args.presentation}: {exc}")
 
 
 def cmd_basis(args, parser) -> int:

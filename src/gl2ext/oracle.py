@@ -2,11 +2,14 @@
 
 Everything here is independent of the monomial model: a presentation is a
 plain list of vertices, graded arrows and homogeneous relations with
-rational coefficients, and graded dimensions are obtained by sparse
-Gaussian elimination over the rationals on the path basis, degree by
-degree.  On top of that sit the builtin presentations used for
-cross-validation and an Ext computation by iterated minimal projective
-covers over the (finite-dimensional) quotient algebra.
+rational coefficients.  One engine, ``GradedQuotient``, builds the quotient
+degree by degree as normal words (one-arrow extensions of the previous
+basis, reduced against the relations by sparse Gaussian elimination over
+the rationals) together with the right action of the arrows.  On top of it
+sit the graded dimension report ``quotient_basis``, the builtin
+presentations used for cross-validation, and an Ext computation by
+iterated minimal projective covers over the (finite-dimensional) quotient
+algebra.
 
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
@@ -26,7 +29,7 @@ class UnknownPresentationError(ValueError):
 
 
 class PathBlowupError(RuntimeError):
-    """A path block exceeded the configured safety cap."""
+    """A block of candidate words exceeded the configured safety cap."""
 
 
 class NonFiniteDimensionalError(RuntimeError):
@@ -114,6 +117,8 @@ class QuiverPresentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuiverPresentation":
+        if not isinstance(data, dict):
+            raise ValueError("a presentation must be a JSON object")
         return cls(
             data.get("name", "unnamed"),
             data["vertices"],
@@ -474,104 +479,32 @@ def quotient_basis(
 ) -> GradedBasisReport:
     """Graded dimensions of paths modulo the two-sided relation ideal.
 
-    For each degree d <= max_degree the span of degree-d ideal elements
-    u * r * v is row-reduced against the path basis, block by block in
-    (source, target); the ideal span is generated degree by degree from
-    one-arrow extensions of lower-degree reduced rows plus fresh relation
-    instances, which yields the same span as enumerating all paddings.
-    Passing ``source`` restricts to the column of paths starting there.
+    A report over ``GradedQuotient`` built up to ``max_degree``: one block
+    per (source, target, degree), listing the quotient's normal words when
+    ``with_paths`` is set.  Passing ``source`` restricts the report to the
+    column of paths starting there.  ``max_paths_per_block`` caps the
+    candidate words of each block at each degree (see ``GradedQuotient``).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if source is not None and source not in pres.vertices:
         raise ValueError(f"unknown source vertex {source!r}")
-    arrows = pres.arrows
-    # paths[d][(src, tgt)] -> list of paths; degree 0 paths are empty tuples
-    start = pres.vertices if source is None else [source]
-    paths: list[dict] = [{(v, v): [()] for v in start}]
-    # pivots[d][(src, tgt)] -> echelon rows of the ideal at degree d
-    pivots: list[dict] = [{}]
-    dims: dict = {}
-    basis_paths: dict = {} if with_paths else None
-    zero_degrees: list[int] = []
+    quo = GradedQuotient(
+        pres, max_degree=max_degree, max_candidates_per_block=max_paths_per_block
+    )
+    blocks: dict = {}
+    for idx, src in enumerate(quo.src):
+        if source is None or src == source:
+            blocks.setdefault((src, quo.tgt[idx], quo.deg[idx]), []).append(quo.rep[idx])
+    dims = {block: len(words) for block, words in sorted(blocks.items())}
+    basis_paths = (
+        {block: sorted(words) for block, words in sorted(blocks.items())}
+        if with_paths
+        else None
+    )
+    live = {deg for _, _, deg in dims}
+    zero_degrees = [d for d in range(1, max_degree + 1) if d not in live]
     window = pres.max_arrow_degree()
-    for (v, _), plist in paths[0].items():
-        dims[(v, v, 0)] = len(plist)
-        if with_paths:
-            basis_paths[(v, v, 0)] = list(plist)
-
-    for d in range(1, max_degree + 1):
-        # free paths at degree d: extend by a final arrow
-        layer: dict = {}
-        for a in arrows:
-            dd = d - a.deg
-            if dd < 0 or dd >= len(paths):
-                continue
-            for (s, t), plist in paths[dd].items():
-                if t != a.src:
-                    continue
-                block = (s, a.tgt)
-                dest = layer.setdefault(block, [])
-                for path in plist:
-                    dest.append(path + (a.name,))
-                if len(dest) > max_paths_per_block:
-                    raise PathBlowupError(
-                        f"block {block} at degree {d} exceeds "
-                        f"{max_paths_per_block} paths"
-                    )
-        paths.append(layer)
-
-        rows: list[tuple[tuple, Row]] = []
-        # one-arrow extensions of the reduced ideal rows
-        for a in arrows:
-            dd = d - a.deg
-            if dd < 0:
-                continue
-            for (s, t), piv in pivots[dd].items():
-                if t == a.src:  # append the arrow
-                    for row in piv.values():
-                        rows.append(
-                            ((s, a.tgt), {path + (a.name,): c for path, c in row.items()})
-                        )
-                if source is None and a.tgt == s:  # prepend the arrow
-                    for row in piv.values():
-                        rows.append(
-                            ((a.src, t), {(a.name,) + path: c for path, c in row.items()})
-                        )
-        # fresh relation instances
-        for idx, rel in enumerate(pres.relations):
-            rsrc, rtgt, rdeg = pres.relation_signature(idx)
-            if source is None:
-                if rdeg == d:
-                    rows.append(((rsrc, rtgt), {path: c for c, path in rel}))
-            else:
-                dd = d - rdeg
-                if 0 <= dd < len(paths):
-                    for u in paths[dd].get((source, rsrc), []):
-                        rows.append(
-                            ((source, rtgt), {u + path: c for c, path in rel})
-                        )
-        layer_pivots: dict = {}
-        for block, row in rows:
-            piv = layer_pivots.setdefault(block, {})
-            reduce_row(piv, dict(row))
-        pivots.append(layer_pivots)
-
-        all_zero = True
-        for block, plist in layer.items():
-            rank = len(layer_pivots.get(block, {}))
-            dim = len(plist) - rank
-            if dim:
-                all_zero = False
-                dims[(block[0], block[1], d)] = dim
-                if with_paths:
-                    piv = layer_pivots.get(block, {})
-                    basis_paths[(block[0], block[1], d)] = [
-                        path for path in sorted(plist) if path not in piv
-                    ]
-        if all_zero:
-            zero_degrees.append(d)
-
     stabilized = max_degree >= window and all(
         d in zero_degrees for d in range(max_degree - window + 1, max_degree + 1)
     )
@@ -580,7 +513,7 @@ def quotient_basis(
     )
 
 
-# -- incremental quotient structure (used by the Ext computation) -----------
+# -- the quotient engine ------------------------------------------------------
 
 
 class GradedQuotient:
@@ -590,10 +523,19 @@ class GradedQuotient:
     the previous basis, relation instances are rewritten through already
     constructed degrees, and a full reduced echelon per block yields the
     new basis together with the right-multiplication action of arrows.
-    This is a second, independent route to the graded dimensions.
+    The basis words ``rep`` are Groebner-style normal words: no candidate
+    that is a pivot of the relation span survives.  This is the one
+    engine behind ``quotient_basis`` and ``ext_dims``.  A block with more
+    than ``max_candidates_per_block`` candidates at one degree raises
+    ``PathBlowupError``.
     """
 
-    def __init__(self, pres: QuiverPresentation, max_degree: int = 64):
+    def __init__(
+        self,
+        pres: QuiverPresentation,
+        max_degree: int = 64,
+        max_candidates_per_block: int = 500_000,
+    ):
         self.pres = pres
         self.src: list[str] = []
         self.tgt: list[str] = []
@@ -603,7 +545,7 @@ class GradedQuotient:
         self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: Fraction}
         self.stabilized = False
         self.max_degree_built = 0
-        self._build(max_degree)
+        self._build(max_degree, max_candidates_per_block)
 
     def _add_element(self, src, tgt, deg, rep) -> int:
         idx = len(self.src)
@@ -637,7 +579,7 @@ class GradedQuotient:
             vec = self._mul_vector_by_arrow(vec, arrow)
         return vec
 
-    def _build(self, max_degree: int) -> None:
+    def _build(self, max_degree: int, max_candidates_per_block: int) -> None:
         pres = self.pres
         window = pres.max_arrow_degree()
         for v in pres.vertices:
@@ -653,8 +595,13 @@ class GradedQuotient:
                 for idx in self.by_deg_tgt.get((dd, a.src), []):
                     block = (self.src[idx], a.tgt)
                     cands.setdefault(block, []).append((idx, a.name))
-            for block in cands:
-                cands[block].sort()
+            for block, cand_list in cands.items():
+                if len(cand_list) > max_candidates_per_block:
+                    raise PathBlowupError(
+                        f"block {block} at degree {d} has {len(cand_list)} "
+                        f"candidates, over the cap of {max_candidates_per_block}"
+                    )
+                cand_list.sort()
             rows_by_block: dict = {}
             for ridx, rel in enumerate(pres.relations):
                 rsrc, rtgt, rdeg = pres.relation_signature(ridx)

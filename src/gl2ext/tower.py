@@ -28,6 +28,7 @@ from .lambda_basis import (
     lambda_unit,
     sort_key,
 )
+from .series import coupling_support_bound
 
 
 class TensorMonomial(NamedTuple):
@@ -95,11 +96,6 @@ def embed(m: TensorMonomial) -> TensorMonomial:
     return TensorMonomial((lambda_unit(),) + m.factors, m.z)
 
 
-def coupling_bound(p: int, level: int) -> int:
-    """Upper bound p*level + 2p - 2 on the coupling degree at a given level."""
-    return p * level + 2 * p - 2
-
-
 def enumerate_weight_zero(
     p: int, q: int, variant: str = VARIANT_CORRECTED
 ) -> list[TensorMonomial]:
@@ -126,7 +122,7 @@ def enumerate_weight_zero(
             for b in omega if n == 0 else theta:
                 e = LambdaMonomial(b, n, h)
                 r = bidegree(p, e, variant).e_r
-                assert r <= coupling_bound(p, need)
+                assert r <= coupling_support_bound(p, need)
                 factors.append(e)
                 extend(factors, r, remaining - 1)
                 factors.pop()

@@ -197,6 +197,52 @@ def test_oracle_requires_exactly_one_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "quotient-dims", "--name", "OMEGA", "--p", "3", "--max-degree", "-1"),
+        ("oracle", "ext", "--presentation", "{missing}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{bad_endpoint}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{not_an_object}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{text_degree}", "--max-n", "2"),
+        ("hilbert", "--p", "2", "--q", "1", "--max-degree", "-1"),
+        ("oracle", "ext", "--name", "C", "--p", "2", "--max-n", "-1"),
+    ],
+    ids=[
+        "negative-max-degree",
+        "missing-file",
+        "bad-endpoint",
+        "not-an-object",
+        "text-degree",
+        "hilbert-negative",
+        "negative-max-n",
+    ],
+)
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    arrow = {"name": "a", "src": "1", "tgt": "1", "deg": 1}
+    payloads = {
+        "bad_endpoint": {"vertices": ["1"], "arrows": [{**arrow, "tgt": "9"}], "relations": []},
+        "text_degree": {"vertices": ["1"], "arrows": [{**arrow, "deg": "x"}], "relations": []},
+        "not_an_object": [],
+    }
+    files = {"missing": str(tmp_path / "missing.json")}
+    for key, payload in payloads.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        files[key] = str(path)
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_non_integer_argument_is_named_as_such(capsys):
+    for argv in (("--p", "x", "--q", "1"), ("--p", "2", "--q", "1", "--max-degree", "x")):
+        code, out, err = run(capsys, "hilbert", *argv)
+        assert (code, out) == (2, "")
+        assert "must be a non-negative integer, got 'x'" in err
+
+
 def test_verify_fast_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fast", "--format", "json")
     assert code == 0

@@ -18,8 +18,51 @@ from gl2ext.oracle import (
 from gl2ext.paths import omega_basis, theta_basis
 from gl2ext.tower import ext_dim_table
 from gl2ext.series import lambda_q_series
+from gl2ext.verify import check_oracle_ses_identity
 
 ONE = Fraction(1)
+
+
+def _free_path_dims(pres, max_degree):
+    """Reference quotient dimensions by elimination over every free path.
+
+    The ideal at degree d is spanned by the relations of degree d and the
+    one-arrow extensions, on either side, of the ideal at lower degrees;
+    each (source, target) block of free paths is row-reduced against it.
+    Its cost grows with the number of free paths, so keep inputs small.
+    """
+    paths = [{(v, v): [()] for v in pres.vertices}]
+    pivots = [{}]
+    dims = {(v, v, 0): 1 for v in pres.vertices}
+    for d in range(1, max_degree + 1):
+        layer, rows = {}, []
+        for a in pres.arrows:
+            dd = d - a.deg
+            if dd < 0:
+                continue
+            for (s, t), plist in paths[dd].items():
+                if t == a.src:
+                    layer.setdefault((s, a.tgt), []).extend(x + (a.name,) for x in plist)
+            for (s, t), piv in pivots[dd].items():
+                for row in piv.values():
+                    if t == a.src:
+                        rows.append(((s, a.tgt), {x + (a.name,): c for x, c in row.items()}))
+                    if a.tgt == s:
+                        rows.append(((a.src, t), {(a.name,) + x: c for x, c in row.items()}))
+        for idx, rel in enumerate(pres.relations):
+            rsrc, rtgt, rdeg = pres.relation_signature(idx)
+            if rdeg == d:
+                rows.append(((rsrc, rtgt), {x: c for c, x in rel}))
+        layer_pivots = {}
+        for block, row in rows:
+            reduce_row(layer_pivots.setdefault(block, {}), row)
+        paths.append(layer)
+        pivots.append(layer_pivots)
+        for (s, t), plist in layer.items():
+            dim = len(plist) - len(layer_pivots.get((s, t), {}))
+            if dim:
+                dims[(s, t, d)] = dim
+    return dims
 
 
 def test_builtin_shapes():
@@ -120,6 +163,32 @@ def test_blowup_guard():
         quotient_basis(builtin_presentation("Y2_P3"), 8, max_paths_per_block=5)
 
 
+def test_blowup_message_names_block_degree_and_size():
+    with pytest.raises(PathBlowupError, match=r"block \(.*\) at degree \d+ has \d+ candidates"):
+        GradedQuotient(builtin_presentation("Y2_P3"), max_degree=8, max_candidates_per_block=5)
+
+
+@pytest.mark.parametrize("p", (7, 11, 13))
+def test_strip_quotients_at_larger_p(p):
+    om = quotient_basis(builtin_presentation("OMEGA", p), 2 * p)
+    th = quotient_basis(builtin_presentation("THETA", p), 2 * p)
+    assert om.stabilized and th.stabilized
+    for rep, basis in ((om, omega_basis(p)), (th, theta_basis(p))):
+        assert rep.dims == dict(Counter((str(b.s), str(b.target), b.degree) for b in basis))
+    assert check_oracle_ses_identity(ps=(p,)).ok
+
+
+def test_source_filter_is_the_column_of_the_full_report():
+    for name, p, deg, source in (("OMEGA", 5, 10, "3"), ("Y2_P3", None, 11, "1,1")):
+        pres = builtin_presentation(name, p)
+        full = quotient_basis(pres, deg, with_paths=True)
+        column = quotient_basis(pres, deg, source=source, with_paths=True)
+        assert column.dims == {k: v for k, v in full.dims.items() if k[0] == source}
+        assert column.basis_paths == {
+            k: v for k, v in full.basis_paths.items() if k[0] == source
+        }
+
+
 def test_c2_dims_and_ext():
     rep = quotient_basis(builtin_presentation("C", 2), 4)
     per_degree = Counter()
@@ -192,7 +261,8 @@ def test_ext_rejects_nonfinite():
 def test_engine_matches_direct_elimination():
     for name, p, deg in (("OMEGA", 3, 6), ("THETA", 3, 4), ("C", 3, 5), ("Y2_P3", None, 6)):
         pres = builtin_presentation(name, p)
-        direct = quotient_basis(pres, deg).dims
+        direct = _free_path_dims(pres, deg)
+        assert quotient_basis(pres, deg).dims == direct
         quo = GradedQuotient(pres, max_degree=deg)
         engine = {k: v for k, v in quo.dims().items() if k[2] <= deg}
         assert engine == direct
@@ -251,7 +321,7 @@ def test_rational_coefficients_quotient_and_ext():
     assert rep.total_dim() == 3 + 4 + 1
     quo = GradedQuotient(pres, max_degree=6)
     assert quo.stabilized
-    assert {k: v for k, v in quo.dims().items() if k[2] <= 3} == rep.dims
+    assert rep.dims == _free_path_dims(pres, 3)
     ext = ext_dims(pres, 4)
     # 0 -> P3^3 -> P2^2 -> P1 -> L1 -> 0, checked by hand
     assert ext.dims == {

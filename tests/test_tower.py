@@ -44,6 +44,38 @@ def test_tensor_mult_sign_example():
     assert result.monomial == T([L(1, 1, 0, 0, 0), L(1, 0, 0, 0, 1)], 0)
 
 
+def test_tensor_mult_sign_ignores_the_diagonal():
+    # p = 3: both first factors are one step (k = 1); pairs i > j: only
+    # (2, 1), and k(a_2) = 0, so no sign although k(a_1) * k(b_1) is odd
+    a = T([L(1, 1, 0, 0, 0), L(1, 0, 0, 0, 0)], 0)
+    b = T([L(2, 1, 0, 0, 0), L(1, 0, 0, 0, 0)], 0)
+    result = tensor_mult(3, a, b)
+    assert result.sign == 1
+    assert result.monomial == T([L(1, 2, 0, 0, 0), L(1, 0, 0, 0, 0)], 0)
+
+
+def test_tensor_mult_sign_later_left_passes_earlier_right():
+    # p = 3: a_2 (k = 1) passes b_1 (k = 1): exponent 1
+    a = T([L(1, 0, 0, 0, 0), L(1, 1, 0, 0, 0)], 0)
+    b = T([L(1, 1, 0, 0, 0), L(2, 0, 0, 0, 0)], 0)
+    result = tensor_mult(3, a, b)
+    assert result.sign == -1
+    assert result.monomial == T([L(1, 1, 0, 0, 0), L(1, 1, 0, 0, 0)], 0)
+
+
+def test_tensor_mult_sign_counts_only_pairs_below_the_diagonal():
+    # p = 3, k(a) = (1, 1), k(b) = (1, 0): the pair (2, 1) gives 1; the
+    # diagonal pair (1, 1), also odd, must not add to it
+    a = T([L(1, 1, 0, 0, 0), L(1, 1, 0, 0, 0)], 0)
+    b = T([L(2, 1, 0, 0, 0), L(2, 0, 0, 0, 0)], 0)
+    assert tensor_mult(3, a, b).sign == -1
+    # p = 2, where h is odd in k: k(a) = (0, 1, 1) from h, k(b) = (1, 1, 0)
+    # from one step each; pairs (2, 1), (3, 1), (3, 2) give 1 + 1 + 1
+    a = T([L(1, 0, 0, 0, 0), L(1, 0, 0, 0, 1), L(1, 0, 0, 0, 1)], 0)
+    b = T([L(1, 1, 0, 0, 0), L(1, 1, 0, 0, 0), L(1, 0, 0, 0, 0)], 0)
+    assert tensor_mult(2, a, b).sign == -1
+
+
 def test_tensor_mult_zero_propagates():
     a = T([L(1, 1, 0, 0, 0), L(1, 0, 0, 1, 0)], 1)
     b = T([L(3, 0, 0, 0, 0), L(1, 0, 0, 0, 0)], 0)  # first slot source mismatch
