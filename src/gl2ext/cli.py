@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import oracle, series, tower, verify
-from .lambda_basis import LambdaMonomial
+from .lambda_basis import LambdaMonomial, is_valid
 from .paths import VARIANTS, PathMonomial, is_prime
 from .tower import TensorMonomial
 
@@ -270,6 +270,15 @@ def cmd_multiply(args, parser) -> int:
         b = tensor_from_record(json.loads(args.b))
     except (KeyError, ValueError, TypeError) as exc:
         parser.error(f"bad operand record: {exc}")
+    for operand in (a, b):
+        if operand.z < 0:
+            parser.error(f"operand z must be >= 0, got {operand.z}")
+        for f in operand.factors:
+            if not is_valid(args.p, f, args.variant):
+                parser.error(
+                    f"operand factor {factor_record(f)} is not a layer element "
+                    f"at p={args.p} ({args.variant})"
+                )
     try:
         result = tower.tensor_mult(args.p, a, b, args.variant)
     except ValueError as exc:
@@ -314,8 +323,7 @@ def cmd_oracle_ext(args, parser) -> int:
     try:
         report = oracle.ext_dims(pres, args.max_n)
     except oracle.NonFiniteDimensionalError as exc:
-        sys.stderr.write(f"gl2ext: {exc}\n")
-        return 1
+        parser.error(str(exc))
     if args.format == "json":
         sys.stdout.write(_emit_json(report.to_json_dict()))
     else:

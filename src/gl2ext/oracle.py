@@ -351,31 +351,47 @@ def builtin_presentation(name: str, p: Optional[int] = None) -> QuiverPresentati
 
 # -- sparse exact elimination ------------------------------------------------
 
-Row = dict  # path tuple (or generic hashable key) -> Fraction
+Row = dict  # path tuple (or generic hashable key) -> int or Fraction
+
+
+def _exact(x):
+    """``x`` as an ``int`` when it is integral, else unchanged."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _div(a, b):
+    """Exact quotient of ints or Fractions: ``a // b`` when b divides a, else a Fraction.
+
+    The one division of the elimination code, so ``int / int`` (a float)
+    never happens and integral values stay ``int``.
+    """
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
 
 
 def reduce_row(pivots: dict, row: Row) -> Optional[object]:
     """Echelon-insert ``row`` against ``pivots``; returns its pivot key or None.
 
     Pivot keys are the maximal support keys; stored rows are normalized to
-    pivot coefficient 1.  Purely rational arithmetic, no floating point.
+    pivot coefficient 1.  Exact arithmetic on ints and Fractions, no
+    floating point; ``row`` itself is left unchanged.
     """
+    row = dict(row)
     while row:
         lead = max(row)
-        if lead not in pivots:
+        pivot = pivots.get(lead)
+        if pivot is None:
             inv = row[lead]
-            normalized = {key: c / inv for key, c in row.items()}
-            pivots[lead] = normalized
+            pivots[lead] = {key: _div(c, inv) for key, c in row.items()}
             return lead
         coeff = row[lead]
-        new = dict(row)
-        for key, c in pivots[lead].items():
-            val = new.get(key, Fraction(0)) - coeff * c
+        for key, c in pivot.items():
+            val = row.get(key, 0) - coeff * c
             if val:
-                new[key] = val
+                row[key] = val
             else:
-                new.pop(key, None)
-        row = new
+                row.pop(key, None)
     return None
 
 
@@ -395,13 +411,13 @@ def _fully_reduce(pivots: dict) -> dict:
                     for k2, c2 in reduced[key].items():
                         if k2 == key:
                             continue
-                        val = row.get(k2, Fraction(0)) - coeff * c2
+                        val = row.get(k2, 0) - coeff * c2
                         if val:
                             row[k2] = val
                         else:
                             row.pop(k2, None)
                     changed = True
-        reduced[lead] = row
+        reduced[lead] = {key: _exact(c) for key, c in row.items()}
     return reduced
 
 
@@ -541,18 +557,21 @@ class GradedQuotient:
         self.tgt: list[str] = []
         self.deg: list[int] = []
         self.rep: list[tuple[str, ...]] = []
+        # id of the word that rep[i] extends by its last arrow (None at degree 0)
+        self.parent: list[Optional[int]] = []
         self.by_deg_tgt: dict = {}
-        self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: Fraction}
+        self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: int or Fraction}
         self.stabilized = False
         self.max_degree_built = 0
         self._build(max_degree, max_candidates_per_block)
 
-    def _add_element(self, src, tgt, deg, rep) -> int:
+    def _add_element(self, src, tgt, deg, rep, parent=None) -> int:
         idx = len(self.src)
         self.src.append(src)
         self.tgt.append(tgt)
         self.deg.append(deg)
         self.rep.append(rep)
+        self.parent.append(parent)
         self.by_deg_tgt.setdefault((deg, tgt), []).append(idx)
         return idx
 
@@ -567,7 +586,7 @@ class GradedQuotient:
         out: dict = {}
         for idx, c in vec.items():
             for jdx, c2 in self.rmul[(idx, arrow)].items():
-                val = out.get(jdx, Fraction(0)) + c * c2
+                val = out.get(jdx, 0) + c * c2
                 if val:
                     out[jdx] = val
                 else:
@@ -582,6 +601,10 @@ class GradedQuotient:
     def _build(self, max_degree: int, max_candidates_per_block: int) -> None:
         pres = self.pres
         window = pres.max_arrow_degree()
+        relations = [
+            (pres.relation_signature(ridx), [(_exact(c), path) for c, path in rel])
+            for ridx, rel in enumerate(pres.relations)
+        ]
         for v in pres.vertices:
             self._add_element(v, v, 0, ())
         zero_run = 0
@@ -603,19 +626,18 @@ class GradedQuotient:
                     )
                 cand_list.sort()
             rows_by_block: dict = {}
-            for ridx, rel in enumerate(pres.relations):
-                rsrc, rtgt, rdeg = pres.relation_signature(ridx)
+            for (rsrc, rtgt, rdeg), rel in relations:
                 dd = d - rdeg
                 if dd < 0:
                     continue
                 for idx in self.by_deg_tgt.get((dd, rsrc), []):
                     row: dict = {}
                     for coeff, path in rel:
-                        vec = self.mul_vector_by_path({idx: Fraction(1)}, path[:-1])
+                        vec = self.mul_vector_by_path({idx: 1}, path[:-1])
                         last = path[-1]
                         for jdx, c in vec.items():
                             key = (jdx, last)
-                            val = row.get(key, Fraction(0)) + coeff * c
+                            val = row.get(key, 0) + coeff * c
                             if val:
                                 row[key] = val
                             else:
@@ -635,7 +657,7 @@ class GradedQuotient:
                         continue
                     bidx, arrow = cand
                     new_id = self._add_element(
-                        block[0], block[1], d, self.rep[bidx] + (arrow,)
+                        block[0], block[1], d, self.rep[bidx] + (arrow,), bidx
                     )
                     id_of[cand] = new_id
                     new_any = True
@@ -643,7 +665,7 @@ class GradedQuotient:
                     bidx, arrow = cand
                     if cand in id_of:
                         self.rmul[(bidx, arrow)] = (
-                            self.rmul.get((bidx, arrow), {}) | {id_of[cand]: Fraction(1)}
+                            self.rmul.get((bidx, arrow), {}) | {id_of[cand]: 1}
                         )
                     else:
                         expr = {}
@@ -704,37 +726,38 @@ class ExtReport(NamedTuple):
         )
 
 
-def _nullspace(rows: list[dict], row_keys: list) -> list[dict]:
-    """Kernel combinations of ``rows`` (vectors over arbitrary hashable keys).
+def _nullspace(rows: list[tuple]) -> list[dict]:
+    """Kernel combinations of keyed rows ``(key, vector)`` over arbitrary hashable keys.
 
-    Returns coefficients over ``row_keys`` for each kernel basis vector,
-    by eliminating augmented rows exactly over the rationals.
+    Returns coefficients over the row keys for each kernel basis vector,
+    by eliminating each row together with its combination of keys; pivots
+    are taken on the row part only.
     """
-    pivots: dict = {}
+    pivots: dict = {}  # lead key -> (row part, combination), lead coefficient 1
     kernel: list[dict] = []
-    for key, row in zip(row_keys, rows):
-        aug = {("row", key): Fraction(1)}
-        work = {("col", c): v for c, v in row.items() if v}
-        work.update(aug)
-        # eliminate only on "col" coordinates
-        while True:
-            lead = max((k for k in work if k[0] == "col"), default=None)
-            if lead is None:
-                kernel.append(
-                    {k[1]: v for k, v in work.items() if k[0] == "row"}
-                )
-                break
+    for key, row in rows:
+        work = {c: v for c, v in row.items() if v}
+        combo = {key: 1}
+        while work:
+            lead = max(work)
             if lead not in pivots:
                 inv = work[lead]
-                pivots[lead] = {k: v / inv for k, v in work.items()}
+                pivots[lead] = (
+                    {k: _div(v, inv) for k, v in work.items()},
+                    {k: _div(v, inv) for k, v in combo.items()},
+                )
                 break
             coeff = work[lead]
-            for k, v in pivots[lead].items():
-                val = work.get(k, Fraction(0)) - coeff * v
-                if val:
-                    work[k] = val
-                else:
-                    work.pop(k, None)
+            prow, pcombo = pivots[lead]
+            for vec, piv in ((work, prow), (combo, pcombo)):
+                for k, v in piv.items():
+                    val = vec.get(k, 0) - coeff * v
+                    if val:
+                        vec[k] = val
+                    else:
+                        vec.pop(k, None)
+        else:
+            kernel.append({k: _exact(v) for k, v in combo.items()})
     return kernel
 
 
@@ -748,89 +771,113 @@ def ext_dims(
     multiplicity of the projective at w in stage n is dim Ext^n(L_v, L_w).
     ``complete[v]`` distinguishes a terminated resolution from max_n
     running out.
+
+    A module vector maps (cover copy, basis id) to its coefficient, and a
+    piece is a (degree, vertex) homogeneous component.  The image of a
+    generator along a normal word is its image along the word's parent
+    times the last arrow.  A cover is onto the previous kernel, so each
+    piece of its kernel has a known dimension: when the arrow images of the
+    lower pieces already span it, no elimination over the piece is needed,
+    and the last stage is decided by counting alone.
     """
     quo = GradedQuotient(pres, max_degree=max_degree)
     if not quo.stabilized:
         raise NonFiniteDimensionalError(
             f"{pres.name} did not stabilize below degree {max_degree}"
         )
-    arrows = pres.arrows
+    rmul = quo.rmul
+    arrows_into: dict = {v: [] for v in pres.vertices}
+    for a in pres.arrows:
+        arrows_into[a.tgt].append(a)
+    ids_from: dict = {v: [] for v in pres.vertices}  # ascending, so parents first
+    for bidx, src in enumerate(quo.src):
+        ids_from[src].append(bidx)
     dims: dict = {}
     complete: dict = {}
 
     def module_mul_arrow(vec, arrow):
         out: dict = {}
         for (copy, bidx), c in vec.items():
-            for jdx, c2 in quo.rmul.get((bidx, arrow), {}).items():
+            for jdx, c2 in rmul[(bidx, arrow)].items():
                 key = (copy, jdx)
-                val = out.get(key, Fraction(0)) + c * c2
+                val = out.get(key, 0) + c * c2
                 if val:
                     out[key] = val
                 else:
                     out.pop(key, None)
         return out
 
+    def cover_rows(top):
+        """Per piece, each basis element of the cover of ``top`` with its image."""
+        rows: dict = {}
+        for copy, (w, shift, gvec) in enumerate(top):
+            img_of: dict = {}
+            for bidx in ids_from[w]:
+                parent = quo.parent[bidx]
+                img = (
+                    gvec
+                    if parent is None
+                    else module_mul_arrow(img_of[parent], quo.rep[bidx][-1])
+                )
+                img_of[bidx] = img
+                piece = (shift + quo.deg[bidx], quo.tgt[bidx])
+                rows.setdefault(piece, []).append(((copy, bidx), img))
+        return rows
+
+    def kernel_and_top(rows, image_dims):
+        """Basis of the kernel per piece, and generators of the kernel.
+
+        ``image_dims[piece]`` is the dimension of the image in that piece.
+        The generators (vertex, degree, vector) span the kernel modulo its
+        radical, the arrow images of its lower pieces.
+        """
+        kernel: dict = {}
+        top: list = []
+        for piece in sorted(rows):
+            want = len(rows[piece]) - image_dims.get(piece, 0)
+            if not want:
+                continue
+            d, w = piece
+            radical = (
+                module_mul_arrow(vec, a.name)
+                for a in arrows_into[w]
+                for vec in kernel.get((d - a.deg, a.src), ())
+            )
+            piv: dict = {}
+            basis = []
+            for img in radical:
+                if len(basis) == want:
+                    break
+                if img and reduce_row(piv, img) is not None:
+                    basis.append(img)
+            if len(basis) < want:
+                for vec in _nullspace(rows[piece]):
+                    if reduce_row(piv, vec) is not None:
+                        basis.append(vec)
+                        top.append((w, d, vec))
+            assert len(basis) == want, (piece, len(basis), want)
+            kernel[piece] = basis
+        return kernel, top
+
     for v in pres.vertices:
-        copies = [(v, 0)]  # projective cover data: (vertex, degree shift)
         dims[(v, v, 0)] = dims.get((v, v, 0), 0) + 1
-        # kernel of the cover of the simple: everything of positive degree
-        kernel_pieces: dict = {}
-        for bidx in range(len(quo.src)):
-            if quo.src[bidx] == v and quo.deg[bidx] > 0:
-                key = (quo.deg[bidx], quo.tgt[bidx])
-                kernel_pieces.setdefault(key, []).append({(0, bidx): Fraction(1)})
-        complete[v] = not kernel_pieces
+        # the cover of the simple at v sends everything of positive degree to 0
+        rows: dict = {}
+        for bidx in ids_from[v]:
+            if quo.deg[bidx] > 0:
+                rows.setdefault((quo.deg[bidx], quo.tgt[bidx]), []).append(((0, bidx), {}))
+        image_dims: dict = {}
+        complete[v] = not rows
         n = 0
-        while n < max_n and kernel_pieces:
+        while n < max_n and not complete[v]:
+            kernel, top = kernel_and_top(rows, image_dims)
             n += 1
-            # image of the kernel under positive-degree action, per piece
-            boundary: dict = {}
-            for (d, w), vecs in kernel_pieces.items():
-                for a in arrows:
-                    if a.src != w:
-                        continue
-                    for vec in vecs:
-                        img = module_mul_arrow(vec, a.name)
-                        if img:
-                            boundary.setdefault((d + a.deg, a.tgt), []).append(img)
-            generators = []  # (vertex, shift, generating vector)
-            for piece in sorted(kernel_pieces):
-                piv: dict = {}
-                for vec in boundary.get(piece, []):
-                    reduce_row(piv, dict(vec))
-                for vec in kernel_pieces[piece]:
-                    if reduce_row(piv, dict(vec)) is not None:
-                        generators.append((piece[1], piece[0], vec))
-            new_copies = [(w, s) for (w, s, _) in generators]
-            for w, _, _ in generators:
+            for w, _, _ in top:
                 dims[(v, w, n)] = dims.get((v, w, n), 0) + 1
-            # kernel of the new cover, piece by piece
-            domain_keys: list = []
-            images: list = []
-            for copy, (w, s) in enumerate(new_copies):
-                gvec = generators[copy][2]
-                for bidx in range(len(quo.src)):
-                    if quo.src[bidx] != w:
-                        continue
-                    img = gvec
-                    for arrow in quo.rep[bidx]:
-                        img = module_mul_arrow(img, arrow)
-                    domain_keys.append((copy, bidx))
-                    images.append(img)
-            by_piece: dict = {}
-            for key, img in zip(domain_keys, images):
-                copy, bidx = key
-                piece = (new_copies[copy][1] + quo.deg[bidx], quo.tgt[bidx])
-                by_piece.setdefault(piece, []).append((key, img))
-            kernel_pieces = {}
-            for piece in sorted(by_piece):
-                keys = [key for key, _ in by_piece[piece]]
-                rows = [img for _, img in by_piece[piece]]
-                for combo in _nullspace(rows, keys):
-                    kernel_pieces.setdefault(piece, []).append(combo)
-            copies = new_copies
-            if not kernel_pieces:
-                complete[v] = True
-        if kernel_pieces and n >= max_n:
-            complete[v] = False
+            image_dims = {piece: len(basis) for piece, basis in kernel.items()}
+            # the new cover is onto the kernel, and injective when no larger
+            cover_dim = sum(len(ids_from[w]) for w, _, _ in top)
+            complete[v] = cover_dim == sum(image_dims.values())
+            if n < max_n and not complete[v]:
+                rows = cover_rows(top)
     return ExtReport(pres.name, max_n, dims, complete)

@@ -13,6 +13,7 @@ an error.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 VARIANT_CORRECTED = "corrected"
@@ -122,26 +123,34 @@ def restricted_mult(
 
 def omega_basis(p: int, variant: str = VARIANT_CORRECTED) -> list[PathMonomial]:
     """All closed-strip classes, in lexicographic (s, alpha, beta) order."""
-    check_variant(variant)
+    return list(_omega_basis(p, check_variant(variant)))
+
+
+def theta_basis(p: int) -> list[PathMonomial]:
+    """All open-strip classes, in lexicographic (s, alpha, beta) order."""
+    return list(_theta_basis(p))
+
+
+# Built once per (p, variant); the public functions hand out fresh lists.
+@lru_cache(maxsize=64)
+def _omega_basis(p: int, variant: str) -> tuple[PathMonomial, ...]:
     out = []
     for s in range(1, p + 1):
         for beta in range(0, s):
             amax = (p - 1) if variant == VARIANT_PRINTED else (p - s + beta)
             for alpha in range(0, amax + 1):
                 out.append(PathMonomial(s, alpha, beta))
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
-def theta_basis(p: int) -> list[PathMonomial]:
-    """All open-strip classes, in lexicographic (s, alpha, beta) order."""
+@lru_cache(maxsize=64)
+def _theta_basis(p: int) -> tuple[PathMonomial, ...]:
     out = []
     for s in range(1, p):
         for alpha in range(0, p - s):
             for beta in range(0, s):
                 out.append(PathMonomial(s, alpha, beta))
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 def count_by_source(basis: list[PathMonomial]) -> dict[int, int]:

@@ -207,6 +207,9 @@ def test_oracle_requires_exactly_one_source(capsys):
         ("oracle", "ext", "--presentation", "{text_degree}", "--max-n", "2"),
         ("hilbert", "--p", "2", "--q", "1", "--max-degree", "-1"),
         ("oracle", "ext", "--name", "C", "--p", "2", "--max-n", "-1"),
+        ("oracle", "ext", "--presentation", "{free_loop}", "--max-n", "2"),
+        ("multiply", "--p", "2", "{bad_factor}", "{unit}"),
+        ("multiply", "--p", "2", "{unit}", "{negative_z}"),
     ],
     ids=[
         "negative-max-degree",
@@ -216,6 +219,9 @@ def test_oracle_requires_exactly_one_source(capsys):
         "text-degree",
         "hilbert-negative",
         "negative-max-n",
+        "ext-does-not-stabilize",
+        "multiply-invalid-factor",
+        "multiply-negative-z",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
@@ -224,8 +230,19 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         "bad_endpoint": {"vertices": ["1"], "arrows": [{**arrow, "tgt": "9"}], "relations": []},
         "text_degree": {"vertices": ["1"], "arrows": [{**arrow, "deg": "x"}], "relations": []},
         "not_an_object": [],
+        "free_loop": {  # one loop, no relations: the quotient never stabilizes
+            "vertices": ["a"],
+            "arrows": [{"name": "x", "src": "a", "tgt": "a", "deg": 1}],
+            "relations": [],
+        },
     }
-    files = {"missing": str(tmp_path / "missing.json")}
+    unit = {"s": 1, "alpha": 0, "beta": 0, "n": 0, "h": 0}
+    files = {
+        "missing": str(tmp_path / "missing.json"),
+        "unit": json.dumps({"factors": [unit], "z": 0}),
+        "bad_factor": json.dumps({"factors": [{**unit, "s": 9}], "z": 0}),  # s=9 at p=2
+        "negative_z": json.dumps({"factors": [unit], "z": -1}),
+    }
     for key, payload in payloads.items():
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")

@@ -1,0 +1,106 @@
+"""Random input to the CLI: every answer is exit 0, or exit 2 with one line on stderr."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from gl2ext.cli import main
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+VERTICES = ("1", "2", "3")
+
+
+@st.composite
+def presentations(draw):
+    """Small presentation JSON, sometimes invalid on purpose.
+
+    The quiver is acyclic apart from at most one loop, so its quotient has
+    polynomially many words per degree and ``oracle ext`` stays cheap even
+    when the quotient never stabilizes.  Most relations are homogeneous
+    combinations of composable paths; a few are junk.
+    """
+    vertices = draw(st.lists(st.sampled_from(VERTICES), min_size=1, max_size=3, unique=True))
+    degrees = st.sampled_from([1, 1, 1, 2, 3, 0])
+    arrows = []
+    for i in range(draw(st.integers(0, 4))):
+        src = draw(st.sampled_from(vertices))
+        later = [v for v in vertices if v > src] or ["9"]
+        tgt = draw(st.sampled_from(later))
+        arrows.append({"name": f"a{i}", "src": src, "tgt": tgt, "deg": draw(degrees)})
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(vertices))
+        arrows.append({"name": "t", "src": v, "tgt": v, "deg": draw(degrees)})
+    # composable paths of up to three arrows, grouped by (source, target, degree)
+    groups: dict = {}
+    walks = [((a["name"],), a["src"], a["tgt"], a["deg"]) for a in arrows]
+    for _ in range(3):
+        for path, src, at, deg in walks:
+            groups.setdefault((src, at, deg), set()).add(path)
+        walks = [
+            (path + (a["name"],), src, a["tgt"], deg + a["deg"])
+            for path, src, at, deg in walks
+            for a in arrows
+            if a["src"] == at
+        ]
+    coeffs = st.sampled_from([1, 1, -1, 2, "1/2", "-3/4", 0, "x"])
+    junk = st.lists(st.sampled_from([a["name"] for a in arrows] + ["zz"]), max_size=3)
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        if groups and draw(st.integers(0, 5)):
+            paths = sorted(groups[draw(st.sampled_from(sorted(groups)))])
+            chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True))
+        else:
+            chosen = draw(st.lists(junk, max_size=2))
+        relations.append([{"coeff": draw(coeffs), "path": list(path)} for path in chosen])
+    return {"name": "fuzz", "vertices": vertices, "arrows": arrows, "relations": relations}
+
+
+def _factor_records():
+    small = st.integers(-1, 4)
+    factor = st.fixed_dictionaries(
+        {"s": small, "alpha": small, "beta": small, "n": small, "h": small}
+    )
+    return st.fixed_dictionaries({"factors": st.lists(factor, min_size=1, max_size=2), "z": small})
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err):
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+
+FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(presentations(), st.integers(0, 3), st.integers(0, 4))
+def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pres.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        _assert_contract(*_run(["oracle", "ext", "--presentation", path, "--max-n", str(max_n)]))
+        _assert_contract(
+            *_run(["oracle", "quotient-dims", "--presentation", path, "--max-degree", str(max_degree)])
+        )
+
+
+@FUZZ
+@given(st.sampled_from(["2", "3"]), _factor_records(), _factor_records())
+def test_multiply_on_random_records(p, a, b):
+    _assert_contract(*_run(["multiply", "--p", p, json.dumps(a), json.dumps(b)]))

@@ -400,3 +400,55 @@ def test_reduce_row_ranks():
     # dependent row reduces to nothing
     assert reduce_row(pivots, {"a": ONE, "c": -ONE}) is None
     assert len(pivots) == 2
+
+
+def _builtins():
+    yield builtin_presentation("Y2_P3")
+    yield builtin_presentation("Y2_P3_COMPLETED")
+    for name in ("OMEGA", "THETA", "C"):
+        for p in (2, 3, 5, 7):
+            yield builtin_presentation(name, p)
+
+
+def test_coefficients_are_ints_or_fractions_never_floats():
+    for pres in [*_builtins(), _rational_presentation()]:
+        quo = GradedQuotient(pres, max_degree=40)
+        coeffs = [c for image in quo.rmul.values() for c in image.values()]
+        assert all(type(c) in (int, Fraction) for c in coeffs), pres.name
+        # integral values are stored as ints
+        assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+        if pres.name == "rational":
+            assert Fraction(3, 2) in coeffs
+            assert any(type(c) is Fraction for c in coeffs)
+        else:
+            assert all(type(c) is int for c in coeffs), pres.name
+
+
+def test_reduce_row_divides_exactly():
+    pivots = {}
+    assert reduce_row(pivots, {"a": 4, "b": 2}) == "b"
+    assert reduce_row(pivots, {"a": 3, "c": 3}) == "c"
+    assert pivots == {"b": {"a": 2, "b": 1}, "c": {"a": 1, "c": 1}}
+    assert all(type(c) is int for row in pivots.values() for c in row.values())
+    assert reduce_row(pivots, {"a": 2, "d": 3}) == "d"
+    assert pivots["d"] == {"a": Fraction(2, 3), "d": 1}
+    assert type(pivots["d"]["a"]) is Fraction
+
+
+def test_normal_words_extend_their_parent_by_one_arrow():
+    for pres in [*_builtins(), _rational_presentation()]:
+        quo = GradedQuotient(pres, max_degree=40)
+        for i, word in enumerate(quo.rep):
+            if quo.deg[i] == 0:
+                assert quo.parent[i] is None
+                continue
+            parent = quo.parent[i]
+            assert parent < i
+            assert word == quo.rep[parent] + (word[-1],)
+            arrow = pres.arrow_by_name[word[-1]]
+            assert quo.deg[i] == quo.deg[parent] + arrow.deg
+
+
+def test_y2_completed_ext_degree_totals():
+    ext = ext_dims(builtin_presentation("Y2_P3_COMPLETED"), 6)
+    assert ext.degree_totals() == {0: 9, 1: 32, 2: 64, 3: 100, 4: 156, 5: 248, 6: 395}
