@@ -24,12 +24,17 @@ def factor_record(f: LambdaMonomial) -> dict:
     return {"s": f.b.s, "alpha": f.b.alpha, "beta": f.b.beta, "n": f.n, "h": f.h}
 
 
+def _integer_field(rec: dict, key: str) -> int:
+    """A JSON integer field; floats, booleans and strings are rejected, not coerced."""
+    value = rec[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def factor_from_record(rec: dict) -> LambdaMonomial:
-    return LambdaMonomial(
-        PathMonomial(int(rec["s"]), int(rec["alpha"]), int(rec["beta"])),
-        int(rec["n"]),
-        int(rec["h"]),
-    )
+    s, alpha, beta, n, h = (_integer_field(rec, k) for k in ("s", "alpha", "beta", "n", "h"))
+    return LambdaMonomial(PathMonomial(s, alpha, beta), n, h)
 
 
 def basis_record(p: int, m: TensorMonomial) -> dict:
@@ -44,8 +49,11 @@ def basis_record(p: int, m: TensorMonomial) -> dict:
 
 
 def tensor_from_record(rec: dict) -> TensorMonomial:
+    factors = rec["factors"]
+    if type(factors) is not list or not factors:
+        raise ValueError(f"factors must be a non-empty list, got {factors!r}")
     return TensorMonomial(
-        tuple(factor_from_record(f) for f in rec["factors"]), int(rec["z"])
+        tuple(factor_from_record(f) for f in factors), _integer_field(rec, "z")
     )
 
 

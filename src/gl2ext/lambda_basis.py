@@ -14,14 +14,15 @@ from typing import Iterator, NamedTuple, Optional
 
 from .paths import (
     VARIANT_CORRECTED,
+    VARIANT_PRINTED,
     PathMonomial,
+    _in_omega,
+    _in_theta,
+    _omega_basis,
+    _theta_basis,
     check_variant,
     in_omega,
     in_theta,
-    omega_basis,
-    pi_mult,
-    sigma,
-    theta_basis,
 )
 
 
@@ -40,17 +41,22 @@ class BiDegree(NamedTuple):
     e_r: int
 
 
+_UNIT = LambdaMonomial(PathMonomial(1, 0, 0), 0, 0)
+
+
 def lambda_unit() -> LambdaMonomial:
     """The distinguished idempotent at vertex 1, of bidegree (0, 0)."""
-    return LambdaMonomial(PathMonomial(1, 0, 0), 0, 0)
+    return _UNIT
 
 
 def is_valid(p: int, e: LambdaMonomial, variant: str = VARIANT_CORRECTED) -> bool:
-    if e.n < 0 or e.h < 0:
+    check_variant(variant)
+    b, n, h = e
+    if n < 0 or h < 0:
         return False
-    if e.n == 0:
-        return in_omega(p, e.b, variant)
-    return in_theta(p, e.b)
+    if n == 0:
+        return in_omega(p, b, variant)
+    return in_theta(p, b)
 
 
 def lambda_mult(
@@ -64,17 +70,22 @@ def lambda_mult(
     Returns None (zero) when the path parts do not compose or the
     composite leaves the basis prescribed by the total tensor power.
     """
-    right = y.b if x.n % 2 == 0 else sigma(p, y.b)
-    path = pi_mult(x.b, right)
-    if path is None:
+    printed = check_variant(variant) == VARIANT_PRINTED
+    (s, alpha, beta), x_n, x_h = x
+    (y_s, y_alpha, y_beta), y_n, y_h = y
+    if x_n % 2:  # reflect y.b as sigma does: source p - s, steps exchanged
+        y_s, y_alpha, y_beta = p - y_s, y_beta, y_alpha
+    if s + alpha - beta != y_s:  # the endpoints decide most zeros
         return None
-    n = x.n + y.n
+    alpha += y_alpha
+    beta += y_beta
+    n = x_n + y_n
     if n == 0:
-        if not in_omega(p, path, variant):
+        if not _in_omega(p, s, alpha, beta, printed):
             return None
-    elif not in_theta(p, path):
+    elif not _in_theta(p, s, alpha, beta):
         return None
-    return LambdaMonomial(path, n, x.h + y.h)
+    return LambdaMonomial(PathMonomial(s, alpha, beta), n, x_h + y_h)
 
 
 def bidegree(p: int, e: LambdaMonomial, variant: str = VARIANT_CORRECTED) -> BiDegree:
@@ -84,16 +95,17 @@ def bidegree(p: int, e: LambdaMonomial, variant: str = VARIANT_CORRECTED) -> BiD
     inconsistent with the explicit weight-zero data and is exposed only
     for comparison runs.
     """
-    e_l = e.n + e.h
-    e_r = p * e.h + e.b.degree
+    (_, alpha, beta), n, h = e
+    e_r = p * h + alpha + beta
     if check_variant(variant) == VARIANT_CORRECTED:
-        e_r += e.n
-    return BiDegree(e_l, e_r)
+        e_r += n
+    return BiDegree(n + h, e_r)
 
 
 def k_degree(p: int, e: LambdaMonomial) -> int:
     """Homological degree |b| + (p-1)*h; the tensor power does not enter."""
-    return e.b.degree + (p - 1) * e.h
+    (_, alpha, beta), _, h = e
+    return alpha + beta + (p - 1) * h
 
 
 def path_j_degree(p: int, e: LambdaMonomial) -> int:
@@ -110,11 +122,13 @@ def level_elements(
     p: int, level: int, variant: str = VARIANT_CORRECTED
 ) -> Iterator[LambdaMonomial]:
     """All layer elements with e_l = n + h equal to ``level``, canonically ordered."""
+    check_variant(variant)
     if level < 0:
-        return
-    omega = omega_basis(p, variant)
-    theta = theta_basis(p)
-    for n in range(level + 1):
-        h = level - n
-        for b in omega if n == 0 else theta:
-            yield LambdaMonomial(b, n, h)
+        return iter(())
+    omega = _omega_basis(p, variant)
+    theta = _theta_basis(p)
+    return (
+        LambdaMonomial(b, n, level - n)
+        for n in range(level + 1)
+        for b in (omega if n == 0 else theta)
+    )

@@ -62,9 +62,11 @@ class PathMonomial(NamedTuple):
 
 def pi_mult(a: PathMonomial, b: PathMonomial) -> Optional[PathMonomial]:
     """Concatenate path classes a then b; None when the endpoints mismatch."""
-    if a.target != b.s:
+    s, alpha, beta = a
+    b_s, b_alpha, b_beta = b
+    if s + alpha - beta != b_s:
         return None
-    return PathMonomial(a.s, a.alpha + b.alpha, a.beta + b.beta)
+    return PathMonomial(s, alpha + b_alpha, beta + b_beta)
 
 
 def in_omega(p: int, m: PathMonomial, variant: str = VARIANT_CORRECTED) -> bool:
@@ -75,20 +77,26 @@ def in_omega(p: int, m: PathMonomial, variant: str = VARIANT_CORRECTED) -> bool:
     classes whose every representative leaves the strip, e.g. (2,1,0) at
     p=2, and fails the presentation oracle).
     """
-    if m.alpha < 0 or m.beta < 0:
-        return False
-    if not (1 <= m.s <= p and m.beta <= m.s - 1):
-        return False
-    if check_variant(variant) == VARIANT_PRINTED:
-        return m.alpha <= p - 1
-    return m.target <= p
+    printed = check_variant(variant) == VARIANT_PRINTED
+    return _in_omega(p, *m, printed)
 
 
 def in_theta(p: int, m: PathMonomial) -> bool:
     """Membership in the open-strip basis on vertices 1..p-1."""
-    if m.alpha < 0 or m.beta < 0:
+    return _in_theta(p, *m)
+
+
+# The membership rules on unpacked fields, shared with the layer product.
+def _in_omega(p: int, s: int, alpha: int, beta: int, printed: bool) -> bool:
+    if alpha < 0 or beta < 0 or not (1 <= s <= p and beta <= s - 1):
         return False
-    return 1 <= m.s <= p - 1 and m.alpha <= p - m.s - 1 and m.beta <= m.s - 1
+    return alpha <= p - 1 if printed else s + alpha - beta <= p
+
+
+def _in_theta(p: int, s: int, alpha: int, beta: int) -> bool:
+    if alpha < 0 or beta < 0:
+        return False
+    return 1 <= s <= p - 1 and alpha <= p - s - 1 and beta <= s - 1
 
 
 def sigma(p: int, m: PathMonomial) -> PathMonomial:
@@ -107,6 +115,7 @@ def restricted_mult(
     variant: str = VARIANT_CORRECTED,
 ) -> Optional[PathMonomial]:
     """Product inside the tagged basis; None when the product leaves it."""
+    check_variant(variant)
     if basis == "omega":
         member = lambda m: in_omega(p, m, variant)
     elif basis == "theta":

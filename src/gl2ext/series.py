@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .paths import VARIANT_CORRECTED, require_prime
+from .paths import VARIANT_CORRECTED, check_variant, require_prime
 from .lambda_basis import bidegree, k_degree, level_elements
 
 
@@ -122,6 +122,7 @@ def lambda_series(
     per-level support bound is used, which keeps operator application sound.
     """
     require_prime(p)
+    check_variant(variant)
     full_j = coupling_support_bound(p, i_max)
     if j_max is None:
         j_max = full_j
@@ -197,6 +198,7 @@ def lambda_q_series(
     levels up to p*(the next stage's need) + 2p - 2.
     """
     require_prime(p)
+    check_variant(variant)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     if k_max is None:

@@ -18,7 +18,14 @@ import random
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .paths import VARIANT_CORRECTED, PathMonomial, omega_basis, require_prime, theta_basis
+from .paths import (
+    VARIANT_CORRECTED,
+    PathMonomial,
+    _omega_basis,
+    _theta_basis,
+    check_variant,
+    require_prime,
+)
 from .lambda_basis import (
     LambdaMonomial,
     bidegree,
@@ -26,6 +33,7 @@ from .lambda_basis import (
     k_degree,
     lambda_mult,
     lambda_unit,
+    level_elements,
     sort_key,
 )
 from .series import coupling_support_bound
@@ -59,30 +67,32 @@ def tensor_mult(
     The sign exponent sums k_degree(a_i) * k_degree(b_j) over pairs i > j,
     i.e. over left factors passing right factors that sit in earlier slots.
     """
-    if len(a.factors) != len(b.factors):
+    check_variant(variant)
+    a_factors, a_z = a
+    b_factors, b_z = b
+    if len(a_factors) != len(b_factors):
         raise ValueError(
-            f"factor counts differ: {len(a.factors)} vs {len(b.factors)}"
+            f"factor counts differ: {len(a_factors)} vs {len(b_factors)}"
         )
     factors = []
-    for x, y in zip(a.factors, b.factors):
+    exponent = 0
+    k_before = 0  # k_degree(b_j) summed over j < i
+    for x, y in zip(a_factors, b_factors):
         prod = lambda_mult(p, x, y, variant)
         if prod is None:
             return None
         factors.append(prod)
-    exponent = 0
-    kb = [k_degree(p, y) for y in b.factors]
-    for i, x in enumerate(a.factors):
-        ka = k_degree(p, x)
-        if ka:
-            exponent += ka * sum(kb[:i])
+        exponent += k_degree(p, x) * k_before
+        k_before += k_degree(p, y)
     sign = -1 if exponent % 2 else 1
-    return SignedTensorMonomial(sign, TensorMonomial(tuple(factors), a.z + b.z))
+    return SignedTensorMonomial(sign, TensorMonomial(tuple(factors), a_z + b_z))
 
 
 def weight(
     p: int, m: TensorMonomial, variant: str = VARIANT_CORRECTED
 ) -> tuple[int, ...]:
     """Weight vector (e_l(b1), e_l(b2)-e_r(b1), ..., z-e_r(bq)) of length q+1."""
+    check_variant(variant)
     degrees = [bidegree(p, f, variant) for f in m.factors]
     entries = [degrees[0].e_l]
     for prev, cur in zip(degrees, degrees[1:]):
@@ -107,44 +117,43 @@ def enumerate_weight_zero(
     enumeration is finite without any external cutoff.
     """
     require_prime(p)
+    check_variant(variant)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    omega = omega_basis(p, variant)
-    theta = theta_basis(p)
-    out: list[TensorMonomial] = []
+    levels: dict[int, list[tuple[LambdaMonomial, int]]] = {}
 
-    def extend(factors: list[LambdaMonomial], need: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(TensorMonomial(tuple(factors), need))
-            return
-        for n in range(need + 1):
-            h = need - n
-            for b in omega if n == 0 else theta:
-                e = LambdaMonomial(b, n, h)
-                r = bidegree(p, e, variant).e_r
-                assert r <= coupling_support_bound(p, need)
-                factors.append(e)
-                extend(factors, r, remaining - 1)
-                factors.pop()
+    def level(need: int) -> list[tuple[LambdaMonomial, int]]:
+        """The elements of level ``need`` with their coupling degrees, built once."""
+        items = levels.get(need)
+        if items is None:
+            items = [(e, bidegree(p, e, variant).e_r) for e in level_elements(p, need, variant)]
+            assert all(r <= coupling_support_bound(p, need) for _, r in items)
+            levels[need] = items
+        return items
 
-    extend([], 0, q)
-    out.sort(key=tensor_sort_key)
-    return out
+    # Extending canonically ordered chains in canonical level order keeps
+    # them factor-wise canonical, so grouping by z gives tensor_sort_key order.
+    chains: list[tuple[tuple[LambdaMonomial, ...], int]] = [((), 0)]
+    for _ in range(q):
+        chains = [(f + (e,), r) for f, need in chains for e, r in level(need)]
+    by_z: dict[int, list[TensorMonomial]] = {}
+    for f, z in chains:
+        by_z.setdefault(z, []).append(TensorMonomial(f, z))
+    return [m for z in sorted(by_z) for m in by_z[z]]
 
 
 def random_weight_zero(
     rng: random.Random, p: int, q: int, variant: str = VARIANT_CORRECTED
 ) -> TensorMonomial:
     """Sample one weight-zero tuple by random chain choices (not uniform)."""
-    omega = omega_basis(p, variant)
-    theta = theta_basis(p)
+    omega = _omega_basis(p, check_variant(variant))
+    theta = _theta_basis(p)
     factors = []
     need = 0
     for _ in range(q):
-        n = rng.randint(0, need)
-        h = need - n
+        n = rng.choice(range(need + 1))  # draws what rng.randint(0, need) draws
         b = rng.choice(omega if n == 0 else theta)
-        e = LambdaMonomial(b, n, h)
+        e = LambdaMonomial(b, n, need - n)
         factors.append(e)
         need = bidegree(p, e, variant).e_r
     return TensorMonomial(tuple(factors), need)

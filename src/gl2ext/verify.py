@@ -23,6 +23,9 @@ from .lambda_basis import (
     path_j_degree,
 )
 from .paths import (
+    VARIANT_CORRECTED,
+    _omega_basis,
+    _theta_basis,
     exact_sequence_defect,
     in_theta,
     omega_basis,
@@ -266,18 +269,26 @@ def check_calibration(builtin: BuiltinFn = oracle.builtin_presentation) -> Check
     )
 
 
+# rng.choice(range(a, b + 1)) draws exactly what rng.randint(a, b) draws,
+# with less overhead, so the seeded samples stay the same.
 def _random_lambda(rng: random.Random, p: int, nh_max: int) -> LambdaMonomial:
-    n = rng.randint(0, nh_max)
-    h = rng.randint(0, nh_max)
-    pool = omega_basis(p) if n == 0 else theta_basis(p)
+    n = rng.choice(range(nh_max + 1))
+    h = rng.choice(range(nh_max + 1))
+    pool = _omega_basis(p, VARIANT_CORRECTED) if n == 0 else _theta_basis(p)
     return LambdaMonomial(rng.choice(pool), n, h)
 
 
 def _random_tensor(rng: random.Random, p: int, q: int, nh_max: int):
     return tower.TensorMonomial(
         tuple(_random_lambda(rng, p, nh_max) for _ in range(q)),
-        rng.randint(0, 2 * p),
+        rng.choice(range(2 * p + 1)),
     )
+
+
+def _gradings(p: int, e: LambdaMonomial) -> tuple[int, int, int, int]:
+    """(e_l, e_r, k-degree, path-j-degree) of a layer element."""
+    e_l, e_r = bidegree(p, e)
+    return e_l, e_r, k_degree(p, e), path_j_degree(p, e)
 
 
 def check_property_suite(
@@ -287,7 +298,24 @@ def check_property_suite(
     q_max: int = 3,
     idempotent_ps=(2, 3),
 ) -> Check:
-    """Signed closure, associativity, involution, gradings, embedding, counts."""
+    """Signed closure, associativity, involution, gradings, embedding, counts.
+
+    What the arguments bound:
+
+    - ``ps``: the primes of the reflection and layer-closure sections and
+      of every random draw;
+    - ``q_max``: the number of factors of every random draw;
+    - ``random_rounds``: the random closure and associativity products
+      (half each); the random embedding section always draws 500 pairs;
+    - ``seed``: the one random stream of all random sections;
+    - ``idempotent_ps``: which enumerated bases have their degree-0 count
+      checked.
+
+    Two sections ignore ``ps`` and ``q_max``: the exhaustive signed
+    closure on the bases (p, q) with p in {2, 3} and q in {1, 2}, and the
+    ext-degree, idempotent and embedding checks on the bases (2, 1..3),
+    (3, 1..3) and (5, 1).
+    """
     rng = random.Random(seed)
     problems: list[str] = []
     checked = 0
@@ -315,22 +343,21 @@ def check_property_suite(
             for e in level_elements(p, lvl)
             if e.n <= 3 and e.h <= 3
         ]
-        for x in pool:
-            for y in pool:
+        graded = [(e, _gradings(p, e)) for e in pool]
+        for x, gx in graded:
+            for y, gy in graded:
                 prod = lambda_mult(p, x, y)
                 checked += 1
                 if prod is None:
                     continue
                 if not is_valid(p, prod):
                     problems.append(f"closure fails: {x} * {y} -> {prod}")
-                bx, by, bp = (bidegree(p, e) for e in (x, y, prod))
-                if (bx.e_l + by.e_l, bx.e_r + by.e_r) != (bp.e_l, bp.e_r):
+                gp = _gradings(p, prod)
+                if (gx[0] + gy[0], gx[1] + gy[1]) != gp[:2]:
                     problems.append(f"bidegree not additive at {x} * {y}")
-                if k_degree(p, x) + k_degree(p, y) != k_degree(p, prod):
+                if gx[2] + gy[2] != gp[2]:
                     problems.append(f"k-degree not additive at {x} * {y}")
-                if path_j_degree(p, x) + path_j_degree(p, y) != path_j_degree(
-                    p, prod
-                ):
+                if gx[3] + gy[3] != gp[3]:
                     problems.append(f"path-j-degree not additive at {x} * {y}")
         if problems:
             break
@@ -355,7 +382,7 @@ def check_property_suite(
     rounds = max(1, random_rounds // 2)
     for _ in range(rounds):
         p = rng.choice(ps)
-        q = rng.randint(1, q_max)
+        q = rng.choice(range(1, q_max + 1))
         a = tower.random_weight_zero(rng, p, q)
         b = tower.random_weight_zero(rng, p, q)
         r = tower.tensor_mult(p, a, b)
@@ -367,7 +394,7 @@ def check_property_suite(
             break
     for _ in range(rounds):
         p = rng.choice(ps)
-        q = rng.randint(1, q_max)
+        q = rng.choice(range(1, q_max + 1))
         a, b, c = (_random_tensor(rng, p, q, 3) for _ in range(3))
         ab = tower.tensor_mult(p, a, b)
         bc = tower.tensor_mult(p, b, c)
@@ -394,7 +421,7 @@ def check_property_suite(
     # embedding: injective, multiplicative, sign preserving, weight prefixing
     for _ in range(500):
         p = rng.choice(ps)
-        q = rng.randint(1, q_max)
+        q = rng.choice(range(1, q_max + 1))
         a = _random_tensor(rng, p, q, 3)
         b = _random_tensor(rng, p, q, 3)
         ea, eb = tower.embed(a), tower.embed(b)

@@ -210,6 +210,11 @@ def test_oracle_requires_exactly_one_source(capsys):
         ("oracle", "ext", "--presentation", "{free_loop}", "--max-n", "2"),
         ("multiply", "--p", "2", "{bad_factor}", "{unit}"),
         ("multiply", "--p", "2", "{unit}", "{negative_z}"),
+        ("multiply", "--p", "2", "{unit}", "{float_z}"),
+        ("multiply", "--p", "2", "{bool_s}", "{unit}"),
+        ("multiply", "--p", "2", "{float_alpha}", "{unit}"),
+        ("multiply", "--p", "2", "{string_s}", "{unit}"),
+        ("multiply", "--p", "2", "{no_factors}", "{no_factors}"),
     ],
     ids=[
         "negative-max-degree",
@@ -222,6 +227,11 @@ def test_oracle_requires_exactly_one_source(capsys):
         "ext-does-not-stabilize",
         "multiply-invalid-factor",
         "multiply-negative-z",
+        "multiply-float-z",
+        "multiply-bool-field",
+        "multiply-float-field",
+        "multiply-string-field",
+        "multiply-no-factors",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
@@ -242,6 +252,11 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         "unit": json.dumps({"factors": [unit], "z": 0}),
         "bad_factor": json.dumps({"factors": [{**unit, "s": 9}], "z": 0}),  # s=9 at p=2
         "negative_z": json.dumps({"factors": [unit], "z": -1}),
+        "float_z": json.dumps({"factors": [unit], "z": 1.7}),
+        "bool_s": json.dumps({"factors": [{**unit, "s": True}], "z": 0}),
+        "float_alpha": json.dumps({"factors": [{**unit, "alpha": 0.9}], "z": 0}),
+        "string_s": json.dumps({"factors": [{**unit, "s": "1"}], "z": 0}),
+        "no_factors": json.dumps({"factors": [], "z": 0}),
     }
     for key, payload in payloads.items():
         path = tmp_path / f"{key}.json"

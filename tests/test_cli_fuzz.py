@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from gl2ext.cli import main
+from gl2ext.cli import factor_record, main, tensor_from_record
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -104,3 +104,46 @@ def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
 @given(st.sampled_from(["2", "3"]), _factor_records(), _factor_records())
 def test_multiply_on_random_records(p, a, b):
     _assert_contract(*_run(["multiply", "--p", p, json.dumps(a), json.dumps(b)]))
+
+
+FIELDS = ("s", "alpha", "beta", "n", "h")
+
+
+@st.composite
+def _records(draw):
+    """An operand record with integer fields, then up to two fields replaced or dropped."""
+    integer = st.integers(-2, 4)
+    junk = st.one_of(st.booleans(), st.floats(-2, 4), st.text(max_size=2), st.none(), st.lists(integer, max_size=1))
+    factor = st.fixed_dictionaries({k: integer for k in FIELDS})
+    rec = {"factors": draw(st.lists(factor, max_size=3)), "z": draw(integer)}
+    spots = [(rec, "factors"), (rec, "z")] + [(f, k) for f in rec["factors"] for k in FIELDS]
+    for target, key in draw(st.lists(st.sampled_from(spots), max_size=2)):
+        if draw(st.booleans()):
+            target[key] = draw(junk)
+        else:
+            target.pop(key, None)
+    return draw(st.sampled_from([rec, [rec], json.dumps(rec)]))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@FUZZ
+@given(_records())
+def test_tensor_from_record_takes_only_integer_fields(rec):
+    well_formed = (
+        isinstance(rec, dict)
+        and _is_int(rec.get("z"))
+        and isinstance(rec.get("factors"), list)
+        and len(rec["factors"]) >= 1
+        and all(isinstance(f, dict) and all(_is_int(f.get(k)) for k in FIELDS) for f in rec["factors"])
+    )
+    try:
+        m = tensor_from_record(rec)
+    except (KeyError, TypeError, ValueError):
+        assert not well_formed
+        return
+    assert well_formed
+    assert m.z == rec["z"]
+    assert [factor_record(f) for f in m.factors] == [{k: f[k] for k in FIELDS} for f in rec["factors"]]

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from gl2ext.lambda_basis import LambdaMonomial, k_degree, lambda_unit
-from gl2ext.paths import PathMonomial
+from gl2ext.paths import VARIANTS, PathMonomial
 from gl2ext.tower import (
     TensorMonomial,
     embed,
@@ -114,7 +114,16 @@ def test_enumerate_p2_q1():
     basis = enumerate_weight_zero(2, 1)
     assert len(basis) == 5
     assert [m.z for m in basis] == [0, 0, 1, 1, 2]
-    assert basis == sorted(basis, key=tensor_sort_key)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_enumeration_is_canonically_sorted_without_repeats(variant):
+    # the enumerator groups its chains by z instead of sorting; this is the
+    # invariant that grouping relies on
+    cases = [(2, q) for q in (1, 2, 3, 4)] + [(3, q) for q in (1, 2, 3)] + [(5, 1), (5, 2), (7, 2)]
+    for p, q in cases:
+        basis = enumerate_weight_zero(p, q, variant)
+        assert basis == sorted(set(basis), key=tensor_sort_key), (p, q)
 
 
 def test_enumerate_idempotent_counts():
