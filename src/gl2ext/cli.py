@@ -1,8 +1,10 @@
 """Command-line surface: bases, tables, series, oracle runs, verification.
 
 Output is deterministic for a fixed configuration: canonical ordering,
-sorted JSON keys, no timestamps.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+sorted JSON keys, no timestamps.  It is written in batches as it is
+encoded, never held whole.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  A reader that closes the pipe early (``| head``)
+ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from typing import Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional
 
 from . import oracle, series, tower, verify
 from .lambda_basis import LambdaMonomial, is_valid
-from .paths import VARIANTS, PathMonomial, is_prime
+from .paths import VARIANT_CORRECTED, VARIANTS, PathMonomial, is_prime
 from .tower import TensorMonomial
 
 
@@ -57,26 +61,71 @@ def tensor_from_record(rec: dict) -> TensorMonomial:
     )
 
 
-def _emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+# Pieces joined per write.  Where stdout is unbuffered (PYTHONUNBUFFERED)
+# every write is a system call, so one write per piece costs more than the
+# encoding; a batch of this many keeps the joined string near 100 kB.
+WRITE_BATCH = 1 << 14
+
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
+def _batches(pieces: Iterable) -> Iterator[list]:
+    it = iter(pieces)
+    while batch := list(islice(it, WRITE_BATCH)):
+        yield batch
+
+
+def _emit_json(payload) -> None:
+    """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+    for batch in _batches(chain(_JSON.iterencode(payload), ("\n",))):
+        sys.stdout.write("".join(batch))
+
+
+def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
+    """Write the header and the rows as ``csv.writer`` lines, a batch of rows per write."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    for batch in _batches(rows):
+        writer.writerows(batch)
+        sys.stdout.write(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    if buf.tell():  # no rows: the header alone
+        sys.stdout.write(buf.getvalue())
 
 
-def _parse_tuple(text: str, q: int, flag: str) -> tuple[int, ...]:
+def _parse_tuple(text: str, q: int, flag: str, top: int) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{flag} must be comma-separated integers")
     if len(values) != q:
         raise argparse.ArgumentTypeError(f"{flag} must list exactly q={q} vertices")
+    if not all(1 <= v <= top for v in values):
+        raise argparse.ArgumentTypeError(f"{flag} vertices must lie in 1..{top}")
     return values
+
+
+def _vertex_filters(args, parser) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """The --left and --right tuples, checked before any enumeration.
+
+    Left vertices are path sources, 1..p.  Right vertices are path targets,
+    reflected through p after an odd tensor power: 1..p under the
+    corrected rules, 1..2p-1 under the printed ones.
+    """
+    if args.q < 1:
+        parser.error("q must be >= 1")
+    right_top = args.p if args.variant == VARIANT_CORRECTED else 2 * args.p - 1
+    left = right = None
+    try:
+        if args.left is not None:
+            left = _parse_tuple(args.left, args.q, "--left", args.p)
+        if args.right is not None:
+            right = _parse_tuple(args.right, args.q, "--right", right_top)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
+    return left, right
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,82 +222,57 @@ def _load_presentation(args, parser) -> oracle.QuiverPresentation:
         parser.error(f"cannot load presentation {args.presentation}: {exc}")
 
 
+def _kept(left, right, lt, rt) -> bool:
+    return (left is None or lt == left) and (right is None or rt == right)
+
+
 def cmd_basis(args, parser) -> int:
-    if args.q < 1:
-        parser.error("q must be >= 1")
-    basis = tower.enumerate_weight_zero(args.p, args.q, args.variant)
-    try:
-        left = _parse_tuple(args.left, args.q, "--left") if args.left else None
-        right = _parse_tuple(args.right, args.q, "--right") if args.right else None
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-    records = []
-    for m in basis:
-        lt, rt = tower.vertex_tuples(args.p, m)
-        if left is not None and lt != left:
-            continue
-        if right is not None and rt != right:
-            continue
-        records.append(basis_record(args.p, m))
+    left, right = _vertex_filters(args, parser)
+    records = (
+        basis_record(args.p, m)
+        for m in tower.enumerate_weight_zero(args.p, args.q, args.variant)
+        if _kept(left, right, *tower.vertex_tuples(args.p, m))
+    )
     if args.format == "json":
-        sys.stdout.write(
-            _emit_json({"p": args.p, "q": args.q, "variant": args.variant, "basis": records})
-        )
+        _emit_json({"p": args.p, "q": args.q, "variant": args.variant, "basis": list(records)})
     else:
-        rows = [
-            [
-                json.dumps(rec["factors"], sort_keys=True),
-                rec["z"],
-                rec["yoneda"],
-                ",".join(map(str, rec["left_vertices"])),
-                ",".join(map(str, rec["right_vertices"])),
-            ]
-            for rec in records
-        ]
-        sys.stdout.write(
-            _emit_csv(["factors", "z", "yoneda", "left", "right"], rows)
+        _emit_csv(
+            ["factors", "z", "yoneda", "left", "right"],
+            (
+                [
+                    json.dumps(rec["factors"], sort_keys=True),
+                    rec["z"],
+                    rec["yoneda"],
+                    ",".join(map(str, rec["left_vertices"])),
+                    ",".join(map(str, rec["right_vertices"])),
+                ]
+                for rec in records
+            ),
         )
     return 0
 
 
 def cmd_ext_table(args, parser) -> int:
-    if args.q < 1:
-        parser.error("q must be >= 1")
-    table = tower.ext_dim_table(args.p, args.q, args.variant)
-    try:
-        left = _parse_tuple(args.left, args.q, "--left") if args.left else None
-        right = _parse_tuple(args.right, args.q, "--right") if args.right else None
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-    rows = []
-    for (lt, rt, n), dim in sorted(table.items()):
-        if left is not None and lt != left:
-            continue
-        if right is not None and rt != right:
-            continue
-        rows.append((lt, rt, n, dim))
+    left, right = _vertex_filters(args, parser)
+    table = sorted(
+        (key, dim)
+        for key, dim in tower.ext_dim_table(args.p, args.q, args.variant).items()
+        if _kept(left, right, key[0], key[1])
+    )
     if args.format == "json":
-        payload = [
-            {
-                "left_tuple": list(lt),
-                "right_tuple": list(rt),
-                "n": n,
-                "dim": dim,
-            }
-            for lt, rt, n, dim in rows
+        rows = [
+            {"left_tuple": list(lt), "right_tuple": list(rt), "n": n, "dim": dim}
+            for (lt, rt, n), dim in table
         ]
-        sys.stdout.write(
-            _emit_json({"p": args.p, "q": args.q, "variant": args.variant, "table": payload})
-        )
+        del table  # the encoder needs only the rows
+        _emit_json({"p": args.p, "q": args.q, "variant": args.variant, "table": rows})
     else:
-        sys.stdout.write(
-            _emit_csv(
-                ["left_tuple", "right_tuple", "n", "dim"],
-                [
-                    [",".join(map(str, lt)), ",".join(map(str, rt)), n, dim]
-                    for lt, rt, n, dim in rows
-                ],
-            )
+        _emit_csv(
+            ["left_tuple", "right_tuple", "n", "dim"],
+            (
+                [",".join(map(str, lt)), ",".join(map(str, rt)), n, dim]
+                for (lt, rt, n), dim in table
+            ),
         )
     return 0
 
@@ -264,11 +288,9 @@ def cmd_hilbert(args, parser) -> int:
             "variant": args.variant,
             "dims": {str(k): v for k, v in sorted(dims.items())},
         }
-        sys.stdout.write(_emit_json(payload))
+        _emit_json(payload)
     else:
-        sys.stdout.write(
-            _emit_csv(["degree", "dim"], [[k, v] for k, v in sorted(dims.items())])
-        )
+        _emit_csv(["degree", "dim"], [[k, v] for k, v in sorted(dims.items())])
     return 0
 
 
@@ -292,17 +314,15 @@ def cmd_multiply(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if result is None:
-        sys.stdout.write(_emit_json({"zero": True}))
+        _emit_json({"zero": True})
     else:
-        sys.stdout.write(
-            _emit_json(
-                {
-                    "zero": False,
-                    "sign": result.sign,
-                    "factors": [factor_record(f) for f in result.monomial.factors],
-                    "z": result.monomial.z,
-                }
-            )
+        _emit_json(
+            {
+                "zero": False,
+                "sign": result.sign,
+                "factors": [factor_record(f) for f in result.monomial.factors],
+                "z": result.monomial.z,
+            }
         )
     return 0
 
@@ -315,13 +335,11 @@ def cmd_oracle_quotient(args, parser) -> int:
         pres, args.max_degree, source=args.source, with_paths=args.with_paths
     )
     if args.format == "json":
-        sys.stdout.write(_emit_json(report.to_json_dict()))
+        _emit_json(report.to_json_dict())
     else:
-        sys.stdout.write(
-            _emit_csv(
-                ["source", "target", "degree", "dim"],
-                [[s, t, d, n] for (s, t, d), n in sorted(report.dims.items())],
-            )
+        _emit_csv(
+            ["source", "target", "degree", "dim"],
+            [[s, t, d, n] for (s, t, d), n in sorted(report.dims.items())],
         )
     return 0
 
@@ -333,13 +351,11 @@ def cmd_oracle_ext(args, parser) -> int:
     except oracle.NonFiniteDimensionalError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        sys.stdout.write(_emit_json(report.to_json_dict()))
+        _emit_json(report.to_json_dict())
     else:
-        sys.stdout.write(
-            _emit_csv(
-                ["from", "to", "n", "dim"],
-                [[v, w, n, d] for (v, w, n), d in sorted(report.dims.items())],
-            )
+        _emit_csv(
+            ["from", "to", "n", "dim"],
+            [[v, w, n, d] for (v, w, n), d in sorted(report.dims.items())],
         )
     return 0
 
@@ -355,12 +371,31 @@ def cmd_verify(args, parser) -> int:
                 {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
             ],
         }
-        sys.stdout.write(_emit_json(payload))
+        _emit_json(payload)
     else:
         for c in checks:
             sys.stdout.write(f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}\n")
         sys.stdout.write(f"{'OK' if ok else 'FAILED'} ({args.suite} suite)\n")
     return 0 if ok else 1
+
+
+def _run_command(args, parser) -> int:
+    if args.command == "basis":
+        return cmd_basis(args, parser)
+    if args.command == "ext-table":
+        return cmd_ext_table(args, parser)
+    if args.command == "hilbert":
+        return cmd_hilbert(args, parser)
+    if args.command == "multiply":
+        return cmd_multiply(args, parser)
+    if args.command == "oracle":
+        if args.oracle_command == "quotient-dims":
+            return cmd_oracle_quotient(args, parser)
+        return cmd_oracle_ext(args, parser)
+    if args.command == "verify":
+        return cmd_verify(args, parser)
+    parser.error(f"unknown command {args.command!r}")
+    return 2
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -370,24 +405,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "basis":
-            return cmd_basis(args, parser)
-        if args.command == "ext-table":
-            return cmd_ext_table(args, parser)
-        if args.command == "hilbert":
-            return cmd_hilbert(args, parser)
-        if args.command == "multiply":
-            return cmd_multiply(args, parser)
-        if args.command == "oracle":
-            if args.oracle_command == "quotient-dims":
-                return cmd_oracle_quotient(args, parser)
-            return cmd_oracle_ext(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
+        code = _run_command(args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except SystemExit as exc:  # parser.error inside a command
         return exc.code if isinstance(exc.code, int) else 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    except BrokenPipeError:
+        # The reader stopped early (``| head``) and has what it read.  Send
+        # what is still buffered to devnull so the exit flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

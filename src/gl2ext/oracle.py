@@ -46,6 +46,14 @@ class Arrow(NamedTuple):
 Relation = list[tuple[Fraction, tuple[str, ...]]]
 
 
+def _coefficient(value) -> Fraction:
+    """A relation coefficient read from JSON; ``"1/0"`` and infinite floats are ValueErrors."""
+    try:
+        return Fraction(value)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad coefficient {value!r}: {exc}") from None
+
+
 class QuiverPresentation:
     """Vertices, graded arrows and homogeneous relations over the rationals."""
 
@@ -124,7 +132,7 @@ class QuiverPresentation:
             data["vertices"],
             [(a["name"], a["src"], a["tgt"], a["deg"]) for a in data["arrows"]],
             [
-                [(Fraction(t["coeff"]), tuple(t["path"])) for t in rel]
+                [(_coefficient(t["coeff"]), tuple(t["path"])) for t in rel]
                 for rel in data["relations"]
             ],
         )

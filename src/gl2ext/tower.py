@@ -15,8 +15,7 @@ here in a canonical order; their z exponent is the Yoneda degree.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .paths import (
     VARIANT_CORRECTED,
@@ -106,15 +105,14 @@ def embed(m: TensorMonomial) -> TensorMonomial:
     return TensorMonomial((lambda_unit(),) + m.factors, m.z)
 
 
-def enumerate_weight_zero(
-    p: int, q: int, variant: str = VARIANT_CORRECTED
-) -> list[TensorMonomial]:
-    """The complete weight-zero basis at q factors, canonically ordered.
+def _chains(p: int, q: int, variant: str) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:
+    """Every weight-zero chain (factors, z) at q factors, factor-wise canonical.
 
     Chains are built left to right: the first factor must have level 0,
     each next level equals the previous coupling degree, and z closes the
-    chain.  Levels obey d(1) = 0, d(i+1) <= p*d(i) + 2p - 2, so the
-    enumeration is finite without any external cutoff.
+    chain.  Levels obey d(1) = 0, d(i+1) <= p*d(i) + 2p - 2, so the walk is
+    finite without any external cutoff.  Only the chains one factor short
+    are held; the last factor is added as the chains are yielded.
     """
     require_prime(p)
     check_variant(variant)
@@ -132,12 +130,20 @@ def enumerate_weight_zero(
         return items
 
     # Extending canonically ordered chains in canonical level order keeps
-    # them factor-wise canonical, so grouping by z gives tensor_sort_key order.
+    # them factor-wise canonical.
     chains: list[tuple[tuple[LambdaMonomial, ...], int]] = [((), 0)]
-    for _ in range(q):
+    for _ in range(q - 1):
         chains = [(f + (e,), r) for f, need in chains for e, r in level(need)]
+    return ((f + (e,), r) for f, need in chains for e, r in level(need))
+
+
+def enumerate_weight_zero(
+    p: int, q: int, variant: str = VARIANT_CORRECTED
+) -> list[TensorMonomial]:
+    """The complete weight-zero basis at q factors, canonically ordered."""
     by_z: dict[int, list[TensorMonomial]] = {}
-    for f, z in chains:
+    # the chains come factor-wise canonical, so grouping by z gives tensor_sort_key order
+    for f, z in _chains(p, q, variant):
         by_z.setdefault(z, []).append(TensorMonomial(f, z))
     return [m for z in sorted(by_z) for m in by_z[z]]
 
@@ -197,9 +203,13 @@ def idempotent(vertices: tuple[int, ...]) -> TensorMonomial:
 def ext_dim_table(
     p: int, q: int, variant: str = VARIANT_CORRECTED
 ) -> dict[tuple[tuple[int, ...], tuple[int, ...], int], int]:
-    """Count weight-zero elements by (left tuple, right tuple, Yoneda degree)."""
-    table: Counter = Counter()
-    for m in enumerate_weight_zero(p, q, variant):
-        left, right = vertex_tuples(p, m)
-        table[(left, right, m.z)] += 1
-    return dict(table)
+    """Count weight-zero elements by (left tuple, right tuple, Yoneda degree).
+
+    The chains are counted as they are walked; the basis is never listed.
+    """
+    table: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
+    for f, z in _chains(p, q, variant):
+        left, right = vertex_tuples(p, TensorMonomial(f, z))
+        key = (left, right, z)
+        table[key] = table.get(key, 0) + 1
+    return table

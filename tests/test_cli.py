@@ -1,7 +1,16 @@
+import contextlib
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import gl2ext
+from gl2ext import cli, tower
 from gl2ext.cli import (
     basis_record,
     factor_from_record,
@@ -215,6 +224,13 @@ def test_oracle_requires_exactly_one_source(capsys):
         ("multiply", "--p", "2", "{float_alpha}", "{unit}"),
         ("multiply", "--p", "2", "{string_s}", "{unit}"),
         ("multiply", "--p", "2", "{no_factors}", "{no_factors}"),
+        ("basis", "--p", "3", "--q", "4", "--left", "1"),
+        ("ext-table", "--p", "3", "--q", "4", "--left", "x"),
+        ("basis", "--p", "3", "--q", "2", "--left", "9,9"),
+        ("ext-table", "--p", "3", "--q", "2", "--right", "0,0"),
+        ("basis", "--p", "3", "--q", "2", "--right", "4,1"),
+        ("ext-table", "--p", "3", "--q", "2", "--variant", "printed", "--right", "6,1"),
+        ("basis", "--p", "3", "--q", "2", "--left", ""),
     ],
     ids=[
         "negative-max-degree",
@@ -232,6 +248,13 @@ def test_oracle_requires_exactly_one_source(capsys):
         "multiply-float-field",
         "multiply-string-field",
         "multiply-no-factors",
+        "left-wrong-length",
+        "left-not-integers",
+        "left-above-p",
+        "right-below-1",
+        "right-above-p",
+        "right-above-2p-1-printed",
+        "left-empty",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
@@ -266,6 +289,133 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+def test_vertex_filters_are_checked_before_any_enumeration(capsys, monkeypatch):
+    def walk(*args):
+        raise AssertionError("the weight-zero chains were walked")
+
+    monkeypatch.setattr(tower, "_chains", walk)
+    for argv in (
+        ("basis", "--p", "3", "--q", "4", "--left", "1"),
+        ("basis", "--p", "3", "--q", "4", "--left", "1,1,1,1", "--right", "0,1,1,1"),
+        ("ext-table", "--p", "3", "--q", "4", "--right", "x"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("variant, right_top", [("corrected", 3), ("printed", 5)])
+def test_vertex_filters_accept_the_whole_vertex_range(capsys, variant, right_top):
+    for flag, top in (("--left", 3), ("--right", right_top)):
+        for vertex in (1, top):
+            code, out, _ = run(capsys, "basis", "--p", "3", "--q", "1", "--variant", variant, flag, str(vertex))
+            assert code == 0
+            assert json.loads(out)["basis"], (flag, vertex)
+
+
+UNIT = json.dumps({"factors": [{"s": 1, "alpha": 0, "beta": 0, "n": 0, "h": 0}], "z": 0})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--p", "3", "--q", "2"),
+        ("basis", "--p", "3", "--q", "2", "--left", "1,1", "--format", "csv"),
+        ("basis", "--p", "3", "--q", "2", "--right", "2,2", "--variant", "printed"),
+        ("ext-table", "--p", "3", "--q", "2"),
+        ("ext-table", "--p", "3", "--q", "2", "--format", "csv"),
+        ("ext-table", "--p", "3", "--q", "2", "--left", "1,1", "--right", "2,2"),
+        ("ext-table", "--p", "3", "--q", "2", "--left", "3,3", "--format", "csv"),
+        ("hilbert", "--p", "3", "--q", "2"),
+        ("hilbert", "--p", "3", "--q", "2", "--format", "csv"),
+        ("multiply", "--p", "2", UNIT, UNIT),
+        ("oracle", "quotient-dims", "--name", "OMEGA", "--p", "3", "--max-degree", "4", "--with-paths"),
+        ("oracle", "quotient-dims", "--name", "Y2_P3", "--source", "1,1", "--max-degree", "5", "--format", "csv"),
+        ("oracle", "ext", "--name", "C", "--p", "3", "--max-n", "3"),
+        ("oracle", "ext", "--name", "C", "--p", "3", "--max-n", "3", "--format", "csv"),
+        ("verify", "--suite", "fast", "--format", "json"),
+    ],
+)
+def test_streamed_output_is_the_one_shot_encoding(capsys, monkeypatch, argv):
+    """Any batch size writes what json.dumps or one csv.writer over a StringIO writes."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "WRITE_BATCH", 3)
+    assert run(capsys, *argv) == (0, out, "")
+    if "csv" in argv:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+        assert out == buf.getvalue()
+    else:
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, cli.WRITE_BATCH])
+def test_emitters_match_the_one_shot_encoders(capsys, monkeypatch, batch):
+    monkeypatch.setattr(cli, "WRITE_BATCH", batch)
+    payload = {"b": [], "a": {"z": [1, {"y": None, "x": True}, {}], "\u00e9": '"q"'}, "c": -3}
+    cli._emit_json(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for rows in ([], [[1, "a,b"], ['say "x"', 2]], [[i, -i] for i in range(20)]):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["h1", "h2"])
+        writer.writerows(rows)
+        cli._emit_csv(["h1", "h2"], iter(rows))
+        assert capsys.readouterr().out == buf.getvalue()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_ends_the_run_quietly(unbuffered):
+    # 2.6 MB of output, far more than a pipe holds, so the child must write
+    # into the closed pipe
+    src = os.path.dirname(os.path.dirname(gl2ext.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gl2ext", "basis", "--p", "5", "--q", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+# tracemalloc peaks of the same calls when the answer was listed, encoded to
+# one string and then written
+LISTED_PEAK_MB = {
+    ("basis", "--p", "5", "--q", "2"): 27.76,
+    ("ext-table", "--p", "3", "--q", "3"): 16.37,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LISTED_PEAK_MB))
+def test_model_queries_peak_at_half_the_listed_answer(argv):
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(list(argv))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak_mb <= LISTED_PEAK_MB[argv] / 2
 
 
 def test_non_integer_argument_is_named_as_such(capsys):

@@ -1,4 +1,6 @@
-"""Random input to the CLI: every answer is exit 0, or exit 2 with one line on stderr."""
+"""Random input to the CLI and its parsers: every answer is exit 0, or exit 2
+with one line on stderr; a parser returns or raises ValueError, KeyError or
+TypeError."""
 
 import contextlib
 import io
@@ -9,6 +11,7 @@ import tempfile
 import pytest
 
 from gl2ext.cli import factor_record, main, tensor_from_record
+from gl2ext.oracle import QuiverPresentation
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -48,7 +51,7 @@ def presentations(draw):
             for a in arrows
             if a["src"] == at
         ]
-    coeffs = st.sampled_from([1, 1, -1, 2, "1/2", "-3/4", 0, "x"])
+    coeffs = st.sampled_from([1, 1, -1, 2, "1/2", "-3/4", 0, "x", "1/0", float("inf")])
     junk = st.lists(st.sampled_from([a["name"] for a in arrows] + ["zz"]), max_size=3)
     relations = []
     for _ in range(draw(st.integers(0, 3))):
@@ -98,6 +101,42 @@ def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
         _assert_contract(
             *_run(["oracle", "quotient-dims", "--presentation", path, "--max-degree", str(max_degree)])
         )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["1/0", "0/0", "-", "1/2", "1", "a0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _presentation_texts(draw):
+    """JSON text: a presentation with up to three nodes replaced, or any JSON value."""
+    if draw(st.integers(0, 3)) == 0:
+        return json.dumps(draw(JSON_VALUES))
+    payload = draw(presentations())
+    for _ in range(draw(st.integers(0, 3))):
+        parent, key, node = None, None, payload
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            payload = draw(JSON_VALUES)
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return json.dumps(payload)
+
+
+@settings(FUZZ, max_examples=300)  # parsing alone is cheap
+@given(_presentation_texts())
+def test_presentation_loads_returns_or_raises_a_value_error(text):
+    try:
+        pres = QuiverPresentation.loads(text)
+    except (ValueError, KeyError, TypeError):
+        return
+    assert isinstance(pres, QuiverPresentation)
 
 
 @FUZZ

@@ -116,14 +116,31 @@ def test_enumerate_p2_q1():
     assert [m.z for m in basis] == [0, 0, 1, 1, 2]
 
 
+WALK_CASES = [(2, q) for q in (1, 2, 3, 4)] + [(3, q) for q in (1, 2, 3)] + [(5, 1), (5, 2), (7, 2)]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_enumeration_is_canonically_sorted_without_repeats(variant):
     # the enumerator groups its chains by z instead of sorting; this is the
     # invariant that grouping relies on
-    cases = [(2, q) for q in (1, 2, 3, 4)] + [(3, q) for q in (1, 2, 3)] + [(5, 1), (5, 2), (7, 2)]
-    for p, q in cases:
+    for p, q in WALK_CASES:
         basis = enumerate_weight_zero(p, q, variant)
         assert basis == sorted(set(basis), key=tensor_sort_key), (p, q)
+
+
+def _listed_dim_table(p, q, variant):
+    """Reference: list the basis, then count it by vertex tuples and degree."""
+    table = Counter()
+    for m in enumerate_weight_zero(p, q, variant):
+        left, right = vertex_tuples(p, m)
+        table[(left, right, m.z)] += 1
+    return dict(table)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ext_dim_table_counts_what_the_listing_lists(variant):
+    for p, q in WALK_CASES:
+        assert ext_dim_table(p, q, variant) == _listed_dim_table(p, q, variant), (p, q)
 
 
 def test_enumerate_idempotent_counts():
