@@ -295,6 +295,8 @@ def cmd_hilbert(args, parser) -> int:
 
 
 def cmd_multiply(args, parser) -> int:
+    if args.format != "json":
+        parser.error("multiply writes JSON only")
     try:
         a = tensor_from_record(json.loads(args.a))
         b = tensor_from_record(json.loads(args.b))
@@ -328,6 +330,8 @@ def cmd_multiply(args, parser) -> int:
 
 
 def cmd_oracle_quotient(args, parser) -> int:
+    if args.with_paths and args.format != "json":
+        parser.error("--with-paths needs --format json")
     pres = _load_presentation(args, parser)
     if args.source is not None and args.source not in pres.vertices:
         parser.error(f"unknown source vertex {args.source!r}")

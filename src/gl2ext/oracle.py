@@ -11,6 +11,9 @@ presentations used for cross-validation, and an Ext computation by
 iterated minimal projective covers over the (finite-dimensional) quotient
 algebra.
 
+Rows are sparse dicts with one update, ``_add_scaled``.  The one work
+limit is ``MAX_CANDIDATES_PER_BLOCK`` candidate words per block and degree.
+
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
 """
@@ -23,13 +26,16 @@ from typing import NamedTuple, Optional
 
 PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
 
+# The candidate words one (source, target) block may have at one degree.
+MAX_CANDIDATES_PER_BLOCK = 500_000
+
 
 class UnknownPresentationError(ValueError):
     pass
 
 
 class PathBlowupError(RuntimeError):
-    """A block of candidate words exceeded the configured safety cap."""
+    """A block of candidate words exceeded ``MAX_CANDIDATES_PER_BLOCK``."""
 
 
 class NonFiniteDimensionalError(RuntimeError):
@@ -47,7 +53,12 @@ Relation = list[tuple[Fraction, tuple[str, ...]]]
 
 
 def _coefficient(value) -> Fraction:
-    """A relation coefficient read from JSON; ``"1/0"`` and infinite floats are ValueErrors."""
+    """A relation coefficient as a Fraction; ``"1/0"`` and infinite floats are ValueErrors.
+
+    So are exponents, which ``Fraction`` expands: ``"1e4000000"`` takes seconds.
+    """
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"bad coefficient {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
     except (ZeroDivisionError, OverflowError) as exc:
@@ -70,7 +81,7 @@ class QuiverPresentation:
             if a.deg < 1:
                 raise ValueError(f"arrow {a.name} must have positive degree")
         self.relations: list[Relation] = [
-            [(Fraction(c), tuple(path)) for c, path in rel] for rel in relations
+            [(_coefficient(c), tuple(path)) for c, path in rel] for rel in relations
         ]
         self._signatures = [self._check_homogeneous(rel) for rel in self.relations]
 
@@ -132,7 +143,7 @@ class QuiverPresentation:
             data["vertices"],
             [(a["name"], a["src"], a["tgt"], a["deg"]) for a in data["arrows"]],
             [
-                [(_coefficient(t["coeff"]), tuple(t["path"])) for t in rel]
+                [(t["coeff"], tuple(t["path"])) for t in rel]
                 for rel in data["relations"]
             ],
         )
@@ -378,6 +389,16 @@ def _div(a, b):
     return _exact(Fraction(a, b))
 
 
+def _add_scaled(dst: Row, coeff, src: Row) -> None:
+    """``dst += coeff * src`` in place, dropping the entries that cancel."""
+    for key, c in src.items():
+        val = dst.get(key, 0) + coeff * c
+        if val:
+            dst[key] = val
+        else:
+            dst.pop(key, None)
+
+
 def reduce_row(pivots: dict, row: Row) -> Optional[object]:
     """Echelon-insert ``row`` against ``pivots``; returns its pivot key or None.
 
@@ -393,38 +414,22 @@ def reduce_row(pivots: dict, row: Row) -> Optional[object]:
             inv = row[lead]
             pivots[lead] = {key: _div(c, inv) for key, c in row.items()}
             return lead
-        coeff = row[lead]
-        for key, c in pivot.items():
-            val = row.get(key, 0) - coeff * c
-            if val:
-                row[key] = val
-            else:
-                row.pop(key, None)
+        _add_scaled(row, -row[lead], pivot)  # the lead cancels: pivot[lead] == 1
     return None
 
 
 def _fully_reduce(pivots: dict) -> dict:
-    """Back-substitute an echelon set so every row touches no other pivot."""
+    """Back-substitute an echelon set so every row touches no other pivot.
+
+    Leads go in ascending order, so each row already reduced touches no
+    pivot but its own; subtracting ``row[key] * reduced[key]`` cancels
+    ``key`` (pivot coefficients are 1), and one pass over the keys is enough.
+    """
     reduced: dict = {}
     for lead in sorted(pivots):
         row = dict(pivots[lead])
-        changed = True
-        while changed:
-            changed = False
-            for key in list(row):
-                if key != lead and key in reduced:
-                    # row -= coeff * reduced[key]; the key entry cancels
-                    # exactly since reduced rows have pivot coefficient 1
-                    coeff = row.pop(key)
-                    for k2, c2 in reduced[key].items():
-                        if k2 == key:
-                            continue
-                        val = row.get(k2, 0) - coeff * c2
-                        if val:
-                            row[k2] = val
-                        else:
-                            row.pop(k2, None)
-                    changed = True
+        for key in [key for key in row if key in reduced]:
+            _add_scaled(row, -row[key], reduced[key])
         reduced[lead] = {key: _exact(c) for key, c in row.items()}
     return reduced
 
@@ -470,52 +475,25 @@ class GradedBasisReport(NamedTuple):
             ]
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GradedBasisReport":
-        dims = {
-            (b["source"], b["target"], b["degree"]): b["dim"]
-            for b in data["blocks"]
-        }
-        basis_paths = None
-        if "basis_paths" in data:
-            basis_paths = {
-                (b["source"], b["target"], b["degree"]): [
-                    tuple(x) for x in b["paths"]
-                ]
-                for b in data["basis_paths"]
-            }
-        return cls(
-            data["presentation"],
-            data["max_degree"],
-            dims,
-            basis_paths,
-            list(data["zero_degrees"]),
-            bool(data["stabilized"]),
-        )
-
 
 def quotient_basis(
     pres: QuiverPresentation,
     max_degree: int,
     source: Optional[str] = None,
     with_paths: bool = False,
-    max_paths_per_block: int = 500_000,
 ) -> GradedBasisReport:
     """Graded dimensions of paths modulo the two-sided relation ideal.
 
     A report over ``GradedQuotient`` built up to ``max_degree``: one block
     per (source, target, degree), listing the quotient's normal words when
     ``with_paths`` is set.  Passing ``source`` restricts the report to the
-    column of paths starting there.  ``max_paths_per_block`` caps the
-    candidate words of each block at each degree (see ``GradedQuotient``).
+    column of paths starting there.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if source is not None and source not in pres.vertices:
         raise ValueError(f"unknown source vertex {source!r}")
-    quo = GradedQuotient(
-        pres, max_degree=max_degree, max_candidates_per_block=max_paths_per_block
-    )
+    quo = GradedQuotient(pres, max_degree=max_degree)
     blocks: dict = {}
     for idx, src in enumerate(quo.src):
         if source is None or src == source:
@@ -529,6 +507,7 @@ def quotient_basis(
     live = {deg for _, _, deg in dims}
     zero_degrees = [d for d in range(1, max_degree + 1) if d not in live]
     window = pres.max_arrow_degree()
+    # not quo.stabilized: a column (``source``) can stabilize before the quotient
     stabilized = max_degree >= window and all(
         d in zero_degrees for d in range(max_degree - window + 1, max_degree + 1)
     )
@@ -550,16 +529,11 @@ class GradedQuotient:
     The basis words ``rep`` are Groebner-style normal words: no candidate
     that is a pivot of the relation span survives.  This is the one
     engine behind ``quotient_basis`` and ``ext_dims``.  A block with more
-    than ``max_candidates_per_block`` candidates at one degree raises
+    than ``MAX_CANDIDATES_PER_BLOCK`` candidates at one degree raises
     ``PathBlowupError``.
     """
 
-    def __init__(
-        self,
-        pres: QuiverPresentation,
-        max_degree: int = 64,
-        max_candidates_per_block: int = 500_000,
-    ):
+    def __init__(self, pres: QuiverPresentation, max_degree: int = 64):
         self.pres = pres
         self.src: list[str] = []
         self.tgt: list[str] = []
@@ -570,8 +544,7 @@ class GradedQuotient:
         self.by_deg_tgt: dict = {}
         self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: int or Fraction}
         self.stabilized = False
-        self.max_degree_built = 0
-        self._build(max_degree, max_candidates_per_block)
+        self._build(max_degree)
 
     def _add_element(self, src, tgt, deg, rep, parent=None) -> int:
         idx = len(self.src)
@@ -593,12 +566,7 @@ class GradedQuotient:
     def _mul_vector_by_arrow(self, vec: dict, arrow: str) -> dict:
         out: dict = {}
         for idx, c in vec.items():
-            for jdx, c2 in self.rmul[(idx, arrow)].items():
-                val = out.get(jdx, 0) + c * c2
-                if val:
-                    out[jdx] = val
-                else:
-                    out.pop(jdx, None)
+            _add_scaled(out, c, self.rmul[(idx, arrow)])
         return out
 
     def mul_vector_by_path(self, vec: dict, path: tuple[str, ...]) -> dict:
@@ -606,7 +574,7 @@ class GradedQuotient:
             vec = self._mul_vector_by_arrow(vec, arrow)
         return vec
 
-    def _build(self, max_degree: int, max_candidates_per_block: int) -> None:
+    def _build(self, max_degree: int) -> None:
         pres = self.pres
         window = pres.max_arrow_degree()
         relations = [
@@ -627,10 +595,10 @@ class GradedQuotient:
                     block = (self.src[idx], a.tgt)
                     cands.setdefault(block, []).append((idx, a.name))
             for block, cand_list in cands.items():
-                if len(cand_list) > max_candidates_per_block:
+                if len(cand_list) > MAX_CANDIDATES_PER_BLOCK:
                     raise PathBlowupError(
                         f"block {block} at degree {d} has {len(cand_list)} "
-                        f"candidates, over the cap of {max_candidates_per_block}"
+                        f"candidates, over the cap of {MAX_CANDIDATES_PER_BLOCK}"
                     )
                 cand_list.sort()
             rows_by_block: dict = {}
@@ -689,7 +657,6 @@ class GradedQuotient:
                     continue
                 for idx in self.by_deg_tgt.get((dd, a.src), []):
                     self.rmul.setdefault((idx, a.name), {})
-            self.max_degree_built = d
             zero_run = 0 if new_any else zero_run + 1
             if zero_run >= window:
                 self.stabilized = True
@@ -724,15 +691,6 @@ class ExtReport(NamedTuple):
             "complete": {v: bool(c) for v, c in sorted(self.complete.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExtReport":
-        return cls(
-            data["presentation"],
-            data["max_n"],
-            {(r["from"], r["to"], r["n"]): r["dim"] for r in data["dims"]},
-            dict(data["complete"]),
-        )
-
 
 def _nullspace(rows: list[tuple]) -> list[dict]:
     """Kernel combinations of keyed rows ``(key, vector)`` over arbitrary hashable keys.
@@ -757,13 +715,8 @@ def _nullspace(rows: list[tuple]) -> list[dict]:
                 break
             coeff = work[lead]
             prow, pcombo = pivots[lead]
-            for vec, piv in ((work, prow), (combo, pcombo)):
-                for k, v in piv.items():
-                    val = vec.get(k, 0) - coeff * v
-                    if val:
-                        vec[k] = val
-                    else:
-                        vec.pop(k, None)
+            _add_scaled(work, -coeff, prow)
+            _add_scaled(combo, -coeff, pcombo)
         else:
             kernel.append({k: _exact(v) for k, v in combo.items()})
     return kernel

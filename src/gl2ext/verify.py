@@ -291,12 +291,14 @@ def _gradings(p: int, e: LambdaMonomial) -> tuple[int, int, int, int]:
     return e_l, e_r, k_degree(p, e), path_j_degree(p, e)
 
 
+# The one random stream of the property suite's random sections, and the
+# primes whose enumerated bases have their degree-0 count checked.
+PROPERTY_SEED = 20240
+IDEMPOTENT_PS = (2, 3)
+
+
 def check_property_suite(
-    random_rounds: int = 10_000,
-    seed: int = 20240,
-    ps=(2, 3, 5),
-    q_max: int = 3,
-    idempotent_ps=(2, 3),
+    random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int = 3
 ) -> Check:
     """Signed closure, associativity, involution, gradings, embedding, counts.
 
@@ -306,17 +308,14 @@ def check_property_suite(
       of every random draw;
     - ``q_max``: the number of factors of every random draw;
     - ``random_rounds``: the random closure and associativity products
-      (half each); the random embedding section always draws 500 pairs;
-    - ``seed``: the one random stream of all random sections;
-    - ``idempotent_ps``: which enumerated bases have their degree-0 count
-      checked.
+      (half each); the random embedding section always draws 500 pairs.
 
     Two sections ignore ``ps`` and ``q_max``: the exhaustive signed
     closure on the bases (p, q) with p in {2, 3} and q in {1, 2}, and the
     ext-degree, idempotent and embedding checks on the bases (2, 1..3),
     (3, 1..3) and (5, 1).
     """
-    rng = random.Random(seed)
+    rng = random.Random(PROPERTY_SEED)
     problems: list[str] = []
     checked = 0
 
@@ -448,7 +447,7 @@ def check_property_suite(
                 problems.append(f"ext-degree identity fails at p={p}, {m}")
                 break
         checked += len(basis)
-        if p in idempotent_ps and q <= 3:
+        if p in IDEMPOTENT_PS:
             count = sum(1 for m in basis if m.z == 0)
             if count != p**q:
                 problems.append(

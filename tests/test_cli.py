@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import tracemalloc
 import pytest
 
 import gl2ext
-from gl2ext import cli, tower
+from gl2ext import cli, oracle, tower
 from gl2ext.cli import (
     basis_record,
     factor_from_record,
@@ -231,6 +232,10 @@ def test_oracle_requires_exactly_one_source(capsys):
         ("basis", "--p", "3", "--q", "2", "--right", "4,1"),
         ("ext-table", "--p", "3", "--q", "2", "--variant", "printed", "--right", "6,1"),
         ("basis", "--p", "3", "--q", "2", "--left", ""),
+        ("multiply", "--p", "2", "--format", "csv", "{unit}", "{unit}"),
+        ("oracle", "quotient-dims", "--name", "OMEGA", "--p", "3", "--max-degree", "3",
+         "--format", "csv", "--with-paths"),
+        ("oracle", "ext", "--presentation", "{exponent}", "--max-n", "2"),
     ],
     ids=[
         "negative-max-degree",
@@ -255,6 +260,9 @@ def test_oracle_requires_exactly_one_source(capsys):
         "right-above-p",
         "right-above-2p-1-printed",
         "left-empty",
+        "multiply-csv",
+        "with-paths-csv",
+        "exponent-coefficient",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
@@ -263,6 +271,11 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         "bad_endpoint": {"vertices": ["1"], "arrows": [{**arrow, "tgt": "9"}], "relations": []},
         "text_degree": {"vertices": ["1"], "arrows": [{**arrow, "deg": "x"}], "relations": []},
         "not_an_object": [],
+        "exponent": {
+            "vertices": ["1"],
+            "arrows": [arrow],
+            "relations": [[{"coeff": "1e4000000", "path": ["a", "a"]}]],
+        },
         "free_loop": {  # one loop, no relations: the quotient never stabilizes
             "vertices": ["a"],
             "arrows": [{"name": "x", "src": "a", "tgt": "a", "deg": 1}],
@@ -316,6 +329,49 @@ def test_vertex_filters_accept_the_whole_vertex_range(capsys, variant, right_top
 
 
 UNIT = json.dumps({"factors": [{"s": 1, "alpha": 0, "beta": 0, "n": 0, "h": 0}], "z": 0})
+
+
+def test_json_only_options_are_checked_before_any_work(capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the options were checked")
+
+    monkeypatch.setattr(oracle, "GradedQuotient", work)
+    monkeypatch.setattr(tower, "tensor_mult", work)
+    for argv in (
+        ("multiply", "--p", "2", "--format", "csv", UNIT, UNIT),
+        ("oracle", "quotient-dims", "--name", "OMEGA", "--p", "3", "--max-degree", "3",
+         "--format", "csv", "--with-paths"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+
+# sha256 of the stdout of each oracle operation of the benchmark: a change
+# to the elimination must not change its answers by a byte.
+ORACLE_DIGESTS = {
+    "oracle quotient-dims --name OMEGA --p 7 --max-degree 14":
+        "04c00c0501b493c513a879f81056dd17e112f222947fbcc479caece900819eb9",
+    "oracle quotient-dims --name THETA --p 7 --max-degree 14":
+        "91a3715a8d7ffb1ad9989a611e2596971da9e4a421cb40aa0dfe58e0b61256a8",
+    "oracle quotient-dims --name Y2_P3 --source 1,1 --max-degree 11":
+        "76e432c48b93c283b32c4915d4c715a23d172cd538b3ae5bb0a2617f7bad161b",
+    "oracle quotient-dims --name OMEGA --p 5 --max-degree 10 --with-paths":
+        "e4f4dcb1a9876382afa661d7f6c41dda7c14cea8355778da473367886555890d",
+    "oracle ext --name C --p 13 --max-n 25":
+        "8a1c83b7c140ee0c42a4dcb336bb9f77d395ef874f97f74b35f5839784647e52",
+    "oracle ext --name Y2_P3_COMPLETED --max-n 6":
+        "6a5d3d64339cd51a6e33e7df912ef685b4ff44c6a31e689b5217d9fb2d1cea21",
+    "oracle ext --name OMEGA --p 7 --max-n 4":
+        "f7457f3f50e6e72d18d094d458c0e2d1f3d2701b6e28756ca384364d836e2b4e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_DIGESTS))
+def test_oracle_answers_keep_their_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[command]
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,7 @@ def presentations(draw):
             for a in arrows
             if a["src"] == at
         ]
-    coeffs = st.sampled_from([1, 1, -1, 2, "1/2", "-3/4", 0, "x", "1/0", float("inf")])
+    coeffs = st.sampled_from([1, 1, -1, 2, "1/2", "-3/4", 0, "x", "1/0", "1e4000000", float("inf")])
     junk = st.lists(st.sampled_from([a["name"] for a in arrows] + ["zz"]), max_size=3)
     relations = []
     for _ in range(draw(st.integers(0, 3))):
@@ -105,7 +105,7 @@ def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from(["1/0", "0/0", "-", "1/2", "1", "a0"]),
+    | st.sampled_from(["1/0", "0/0", "-", "1/2", "1", "a0", "1e4000000"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=12,
 )

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from gl2ext import oracle
 from gl2ext.oracle import (
     GradedQuotient,
     NonFiniteDimensionalError,
     PathBlowupError,
     QuiverPresentation,
     UnknownPresentationError,
+    _fully_reduce,
     builtin_presentation,
     ext_dims,
     quotient_basis,
@@ -158,14 +160,32 @@ def test_basis_paths_are_reported():
     assert rep.basis_paths[("2", "2", 2)] == [("y1", "x1")]
 
 
-def test_blowup_guard():
+def test_blowup_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES_PER_BLOCK", 5)
     with pytest.raises(PathBlowupError):
-        quotient_basis(builtin_presentation("Y2_P3"), 8, max_paths_per_block=5)
+        quotient_basis(builtin_presentation("Y2_P3"), 8)
 
 
-def test_blowup_message_names_block_degree_and_size():
+def test_blowup_message_names_block_degree_and_size(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES_PER_BLOCK", 5)
     with pytest.raises(PathBlowupError, match=r"block \(.*\) at degree \d+ has \d+ candidates"):
-        GradedQuotient(builtin_presentation("Y2_P3"), max_degree=8, max_candidates_per_block=5)
+        GradedQuotient(builtin_presentation("Y2_P3"), max_degree=8)
+
+
+def test_a_column_reports_its_own_stabilization():
+    pres = builtin_presentation("Y2_P3")
+    assert quotient_basis(pres, 11, source="1,1").stabilized
+    assert not quotient_basis(pres, 11).stabilized
+    assert not GradedQuotient(pres, max_degree=11).stabilized
+
+
+def test_without_a_source_the_report_flag_is_the_engines():
+    cases = [(builtin_presentation(name, p), 2 * p + 2) for name in ("OMEGA", "THETA", "C") for p in (2, 3, 5)]
+    cases += [(builtin_presentation(name), 14) for name in ("Y2_P3", "Y2_P3_COMPLETED")]
+    for pres, top in cases:
+        for degree in range(top + 1):
+            want = GradedQuotient(pres, max_degree=degree).stabilized
+            assert quotient_basis(pres, degree).stabilized == want, (pres.name, degree)
 
 
 @pytest.mark.parametrize("p", (7, 11, 13))
@@ -314,6 +334,14 @@ def _rational_presentation():
     )
 
 
+@pytest.mark.parametrize("coeff", ["1e4000000", "1E5", "2.5e-3", "-1e0"])
+def test_exponent_coefficients_are_rejected(coeff):
+    pres = builtin_presentation("C", 2).to_json_dict()
+    pres["relations"][0][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match="exponent"):
+        QuiverPresentation.from_json_dict(pres)
+
+
 def test_rational_coefficients_quotient_and_ext():
     pres = _rational_presentation()
     rep = quotient_basis(pres, 3)
@@ -382,17 +410,6 @@ def test_relations_annihilate_every_basis_element():
                 assert not {k: v for k, v in total.items() if v}
 
 
-def test_report_json_round_trips():
-    rep = quotient_basis(builtin_presentation("OMEGA", 3), 4, with_paths=True)
-    clone = type(rep).from_json_dict(rep.to_json_dict())
-    assert clone.dims == rep.dims
-    assert clone.zero_degrees == rep.zero_degrees
-    assert clone.stabilized == rep.stabilized
-    assert {k: v for k, v in rep.basis_paths.items() if v} == clone.basis_paths
-    ext = ext_dims(builtin_presentation("C", 3), 4)
-    assert type(ext).from_json_dict(ext.to_json_dict()) == ext
-
-
 def test_reduce_row_ranks():
     pivots = {}
     assert reduce_row(pivots, {"a": ONE, "b": -ONE}) is not None
@@ -433,6 +450,12 @@ def test_reduce_row_divides_exactly():
     assert reduce_row(pivots, {"a": 2, "d": 3}) == "d"
     assert pivots["d"] == {"a": Fraction(2, 3), "d": 1}
     assert type(pivots["d"]["a"]) is Fraction
+
+
+def test_back_substitution_clears_every_other_pivot():
+    # d's row touches both earlier pivots; a is no pivot and collects both
+    pivots = {"b": {"a": 1, "b": 1}, "c": {"a": 2, "c": 1}, "d": {"b": 1, "c": 1, "d": 1}}
+    assert _fully_reduce(pivots) == {"b": {"a": 1, "b": 1}, "c": {"a": 2, "c": 1}, "d": {"a": -3, "d": 1}}
 
 
 def test_normal_words_extend_their_parent_by_one_arrow():
