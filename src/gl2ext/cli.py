@@ -163,20 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("basis", help="list the weight-zero basis")
+    sp.set_defaults(run=cmd_basis)
     add_common(sp)
     sp.add_argument("--left", help="filter on the left vertex tuple, e.g. 1,1")
     sp.add_argument("--right", help="filter on the right vertex tuple")
 
     sp = sub.add_parser("ext-table", help="dimension table by vertex tuples and degree")
+    sp.set_defaults(run=cmd_ext_table)
     add_common(sp)
     sp.add_argument("--left", help="filter on the left vertex tuple")
     sp.add_argument("--right", help="filter on the right vertex tuple")
 
     sp = sub.add_parser("hilbert", help="graded dimensions via the series operator")
+    sp.set_defaults(run=cmd_hilbert)
     add_common(sp)
     sp.add_argument("--max-degree", type=_non_negative, help="cap on the homological degree")
 
     sp = sub.add_parser("multiply", help="signed product of two basis records")
+    sp.set_defaults(run=cmd_multiply)
     add_common(sp, q=False)
     sp.add_argument("a", help="JSON record {factors: [...], z: n}")
     sp.add_argument("b", help="JSON record {factors: [...], z: n}")
@@ -191,19 +195,21 @@ def build_parser() -> argparse.ArgumentParser:
         osp.add_argument("--format", choices=("json", "csv"), default="json")
 
     osp = osub.add_parser("quotient-dims", help="graded dimensions of the quotient")
+    osp.set_defaults(run=cmd_oracle_quotient)
     add_presentation_args(osp)
     osp.add_argument("--max-degree", type=_non_negative, required=True)
     osp.add_argument("--source", help="restrict to the column of one vertex")
     osp.add_argument("--with-paths", action="store_true")
 
     osp = osub.add_parser("ext", help="Ext dimensions between the simples")
+    osp.set_defaults(run=cmd_oracle_ext)
     add_presentation_args(osp)
     osp.add_argument("--max-n", type=_non_negative, required=True)
 
     sp = sub.add_parser("verify", help="run the verification suite")
+    sp.set_defaults(run=cmd_verify)
     sp.add_argument("--suite", choices=("fast", "full"), default="fast")
     sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--corrupt", help=argparse.SUPPRESS)  # test hook
     return parser
 
 
@@ -218,7 +224,7 @@ def _load_presentation(args, parser) -> oracle.QuiverPresentation:
     try:
         with open(args.presentation, encoding="utf-8") as fh:
             return oracle.QuiverPresentation.loads(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # deep nesting
         parser.error(f"cannot load presentation {args.presentation}: {exc}")
 
 
@@ -300,7 +306,7 @@ def cmd_multiply(args, parser) -> int:
     try:
         a = tensor_from_record(json.loads(args.a))
         b = tensor_from_record(json.loads(args.b))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep nesting
         parser.error(f"bad operand record: {exc}")
     for operand in (a, b):
         if operand.z < 0:
@@ -365,7 +371,7 @@ def cmd_oracle_ext(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    checks = verify.run_suite(args.suite, corrupt=args.corrupt)
+    checks = verify.run_suite(args.suite)
     ok = all(c.ok for c in checks)
     if args.format == "json":
         payload = {
@@ -383,25 +389,6 @@ def cmd_verify(args, parser) -> int:
     return 0 if ok else 1
 
 
-def _run_command(args, parser) -> int:
-    if args.command == "basis":
-        return cmd_basis(args, parser)
-    if args.command == "ext-table":
-        return cmd_ext_table(args, parser)
-    if args.command == "hilbert":
-        return cmd_hilbert(args, parser)
-    if args.command == "multiply":
-        return cmd_multiply(args, parser)
-    if args.command == "oracle":
-        if args.oracle_command == "quotient-dims":
-            return cmd_oracle_quotient(args, parser)
-        return cmd_oracle_ext(args, parser)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -409,7 +396,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _run_command(args, parser)
+        code = args.run(args, parser)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except SystemExit as exc:  # parser.error inside a command
         return exc.code if isinstance(exc.code, int) else 2

@@ -53,15 +53,19 @@ Relation = list[tuple[Fraction, tuple[str, ...]]]
 
 
 def _coefficient(value) -> Fraction:
-    """A relation coefficient as a Fraction; ``"1/0"`` and infinite floats are ValueErrors.
+    """A relation coefficient as a Fraction; ``"1/0"`` is a ValueError.
 
-    So are exponents, which ``Fraction`` expands: ``"1e4000000"`` takes seconds.
+    So are exponents, which ``Fraction`` expands (``"1e4000000"`` takes
+    seconds), and floats and booleans: a JSON ``0.3`` is a binary float, not
+    3/10, and ``true`` is not a number.
     """
+    if isinstance(value, (float, bool)):
+        raise ValueError(f'bad coefficient {value!r}: give an integer or a string such as "0.3"')
     if isinstance(value, str) and "e" in value.lower():
         raise ValueError(f"bad coefficient {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad coefficient {value!r}: {exc}") from None
 
 
@@ -70,6 +74,12 @@ class QuiverPresentation:
 
     def __init__(self, name, vertices, arrows, relations):
         self.name = name
+        if (
+            type(vertices) is not list
+            or not all(type(v) is str for v in vertices)
+            or len(set(vertices)) != len(vertices)
+        ):
+            raise ValueError("vertices must be a list of distinct strings")
         self.vertices = list(vertices)
         self.arrows = [Arrow(*a) for a in arrows]
         self.arrow_by_name = {a.name: a for a in self.arrows}
@@ -556,13 +566,6 @@ class GradedQuotient:
         self.by_deg_tgt.setdefault((deg, tgt), []).append(idx)
         return idx
 
-    def dims(self) -> dict:
-        out: dict = {}
-        for i in range(len(self.src)):
-            key = (self.src[i], self.tgt[i], self.deg[i])
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def _mul_vector_by_arrow(self, vec: dict, arrow: str) -> dict:
         out: dict = {}
         for idx, c in vec.items():
@@ -661,9 +664,6 @@ class GradedQuotient:
             if zero_run >= window:
                 self.stabilized = True
                 break
-
-    def total_dim(self) -> int:
-        return len(self.src)
 
 
 class ExtReport(NamedTuple):

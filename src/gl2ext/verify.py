@@ -4,13 +4,35 @@ Each check returns a Check(name, ok, detail); the acceptance test module
 and the CLI both drive these, so there is a single source of truth for
 what "passing" means.  All randomness is seeded and all comparisons are
 exact integer equalities.
+
+Three routes compute Ext dimensions, and each stays in ``src/`` as an
+independent route for the checks below: the weight-zero enumeration
+(``tower``, behind ``basis`` and ``ext-table``), the operator series
+(``series``, behind ``hilbert``), which counts without listing, and the
+quiver oracle (``oracle``), which shares no code with the monomial model.
+
+- ``check_oracle_concordance_q1``: oracle Ext of C(p) = series =
+  enumeration;
+- ``check_series_vs_enumeration``: series = enumeration at p <= 3, q <= 2;
+- ``check_presentation_concordance``: oracle quotient of OMEGA(p) = the
+  listed strip, which the printed rules miss;
+- ``check_ses_identity`` and ``check_oracle_ses_identity``: one four-term
+  identity on listed counts and on oracle dimensions;
+- ``check_y2_column`` and ``check_calibration``: the oracle's Y2_P3 column
+  and arrows = the enumeration's reference column.
+
+``check_reference_column`` and ``check_yoneda_multiset`` hold the
+enumeration to recorded data, and ``check_property_suite`` checks the laws
+of the products (closure, associativity, gradings, embedding).  Each
+check's reported name is the argument of its ``_check`` decorator.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from . import oracle, series, tower
 from .lambda_basis import (
@@ -41,7 +63,21 @@ class Check(NamedTuple):
     detail: str
 
 
-BuiltinFn = Callable[..., oracle.QuiverPresentation]
+def _check(name: str):
+    """Report a check's ``(ok, detail)``, or its exception, as ``Check(name, ...)``."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> Check:
+            try:
+                return Check(name, *fn(*args, **kwargs))
+            except Exception as exc:  # noqa: BLE001 - checks must never crash the suite
+                return Check(name, False, f"error: {exc}")
+
+        return run
+
+    return decorate
+
 
 # The fifteen weight-zero tuples of the reference column at vertex (1,1),
 # p = 3, q = 2, in canonical order: ((s, alpha, beta, n, h) per factor, z).
@@ -73,36 +109,36 @@ def _flatten(m: tower.TensorMonomial):
     )
 
 
-def check_reference_column() -> Check:
+def _reference_column() -> list[tower.TensorMonomial]:
+    """The weight-zero elements at p = 3, q = 2 with left vertices (1,1)."""
+    return [
+        m
+        for m in tower.enumerate_weight_zero(3, 2)
+        if tower.vertex_tuples(3, m)[0] == (1, 1)
+    ]
+
+
+@_check("reference_column_reproduction")
+def check_reference_column():
     """The weight-zero column at left vertices (1,1) equals the 15 reference tuples."""
-    basis = tower.enumerate_weight_zero(3, 2)
-    column = [m for m in basis if tower.vertex_tuples(3, m)[0] == (1, 1)]
-    got = tuple(_flatten(m) for m in column)
+    got = tuple(_flatten(m) for m in _reference_column())
     ok = got == REFERENCE_COLUMN
-    return Check(
-        "reference_column_reproduction",
-        ok,
-        f"{len(column)} tuples, exact match" if ok else f"mismatch: {got}",
-    )
+    return ok, f"{len(got)} tuples, exact match" if ok else f"mismatch: {got}"
 
 
-def check_yoneda_multiset() -> Check:
+@_check("yoneda_degree_multiset")
+def check_yoneda_multiset():
     """The same fifteen elements carry the reference degree multiset."""
-    basis = tower.enumerate_weight_zero(3, 2)
-    got = tuple(
-        sorted(m.z for m in basis if tower.vertex_tuples(3, m)[0] == (1, 1))
-    )
-    ok = got == YONEDA_MULTISET
-    return Check("yoneda_degree_multiset", ok, f"multiset {got}")
+    got = tuple(sorted(m.z for m in _reference_column()))
+    return got == YONEDA_MULTISET, f"multiset {got}"
 
 
-def check_oracle_concordance_q1(
-    ps=(2, 3), builtin: BuiltinFn = oracle.builtin_presentation
-) -> Check:
+@_check("oracle_concordance_q1")
+def check_oracle_concordance_q1(ps=(2, 3)):
     """Ext totals of C(p), the q=1 series and the q=1 enumeration all agree."""
     problems = []
     for p in ps:
-        ext = oracle.ext_dims(builtin("C", p), max_n=2 * p - 1)
+        ext = oracle.ext_dims(oracle.builtin_presentation("C", p), max_n=2 * p - 1)
         totals = ext.degree_totals()
         via_series = series.lambda_q_series(p, 1)
         via_enum = dict(
@@ -114,21 +150,18 @@ def check_oracle_concordance_q1(
             problems.append(
                 f"p={p}: ext {totals} vs series {via_series} vs enum {via_enum}"
             )
-    return Check(
-        "oracle_concordance_q1",
-        not problems,
-        "; ".join(problems) if problems else f"agree for p in {tuple(ps)}",
-    )
+    return not problems, "; ".join(problems) or f"agree for p in {tuple(ps)}"
 
 
-def check_presentation_concordance(
-    ps=(2, 3, 5), builtin: BuiltinFn = oracle.builtin_presentation
-) -> Check:
+@_check("omega_presentation_concordance")
+def check_presentation_concordance(ps=(2, 3, 5)):
     """Quotient dims of OMEGA(p) match the corrected counts; printed ones fail."""
     problems = []
     notes = []
     for p in ps:
-        rep = oracle.quotient_basis(builtin("OMEGA", p), max_degree=2 * p)
+        rep = oracle.quotient_basis(
+            oracle.builtin_presentation("OMEGA", p), max_degree=2 * p
+        )
         got = rep.dims_by_source_degree()
         want = Counter()
         for m in omega_basis(p):
@@ -146,14 +179,11 @@ def check_presentation_concordance(
                     f"p={p}: printed total {sum(printed.values())} vs oracle "
                     f"{rep.total_dim()}"
                 )
-    return Check(
-        "omega_presentation_concordance",
-        not problems,
-        "; ".join(problems) if problems else "; ".join(notes),
-    )
+    return not problems, "; ".join(problems or notes)
 
 
-def check_ses_identity(ps=(2, 3, 5, 7)) -> Check:
+@_check("exact_sequence_identity")
+def check_ses_identity(ps=(2, 3, 5, 7)):
     """The alternating four-term count identity vanishes for all columns."""
     bad = [
         (p, l)
@@ -161,27 +191,22 @@ def check_ses_identity(ps=(2, 3, 5, 7)) -> Check:
         for l in range(1, p)
         if exact_sequence_defect(p, l) != 0
     ]
-    return Check(
-        "exact_sequence_identity",
-        not bad,
-        f"defect nonzero at {bad}" if bad else f"holds for p in {tuple(ps)}",
-    )
+    return not bad, f"defect nonzero at {bad}" if bad else f"holds for p in {tuple(ps)}"
 
 
-def check_oracle_ses_identity(
-    ps=(2, 3, 5, 7), builtin: BuiltinFn = oracle.builtin_presentation
-) -> Check:
+@_check("oracle_exact_sequence_identity")
+def check_oracle_ses_identity(ps=(2, 3, 5, 7)):
     """The same identity on quiver-oracle dimensions instead of counts."""
     bad = []
     for p in ps:
-        om = oracle.quotient_basis(builtin("OMEGA", p), max_degree=2 * p)
-        th = oracle.quotient_basis(builtin("THETA", p), max_degree=2 * p)
         om_src = Counter()
-        for (s, _, _), n in om.dims.items():
-            om_src[s] += n
         th_src = Counter()
-        for (s, _, _), n in th.dims.items():
-            th_src[s] += n
+        for name, by_src in (("OMEGA", om_src), ("THETA", th_src)):
+            rep = oracle.quotient_basis(
+                oracle.builtin_presentation(name, p), max_degree=2 * p
+            )
+            for (s, _, _), n in rep.dims.items():
+                by_src[s] += n
         for l in range(1, p):
             defect = (
                 om_src[str(l)]
@@ -191,14 +216,11 @@ def check_oracle_ses_identity(
             )
             if defect:
                 bad.append((p, l, defect))
-    return Check(
-        "oracle_exact_sequence_identity",
-        not bad,
-        f"defect nonzero at {bad}" if bad else f"holds for p in {tuple(ps)}",
-    )
+    return not bad, f"defect nonzero at {bad}" if bad else f"holds for p in {tuple(ps)}"
 
 
-def check_series_vs_enumeration(pairs=((2, 1), (2, 2), (3, 1), (3, 2))) -> Check:
+@_check("series_matches_enumeration")
+def check_series_vs_enumeration(pairs=((2, 1), (2, 2), (3, 1), (3, 2))):
     """Operator-series dims equal weight-zero counts degree by degree."""
     problems = []
     for p, q in pairs:
@@ -206,14 +228,11 @@ def check_series_vs_enumeration(pairs=((2, 1), (2, 2), (3, 1), (3, 2))) -> Check
         via_enum = dict(Counter(m.z for m in tower.enumerate_weight_zero(p, q)))
         if via_series != via_enum:
             problems.append(f"(p,q)=({p},{q}): {via_series} != {via_enum}")
-    return Check(
-        "series_matches_enumeration",
-        not problems,
-        "; ".join(problems) if problems else f"agree for {tuple(pairs)}",
-    )
+    return not problems, "; ".join(problems) or f"agree for {tuple(pairs)}"
 
 
-def check_y2_column(builtin: BuiltinFn = oracle.builtin_presentation) -> Check:
+@_check("y2_p3_column")
+def check_y2_column():
     """The quiver oracle reproduces the reference column at vertex (1,1).
 
     Off-column blocks are compared against the weight-zero model and only
@@ -221,7 +240,7 @@ def check_y2_column(builtin: BuiltinFn = oracle.builtin_presentation) -> Check:
     ranges of the base presentation, for which the completed builtin is
     the recorded alternative.
     """
-    pres = builtin("Y2_P3")
+    pres = oracle.builtin_presentation("Y2_P3")
     rep = oracle.quotient_basis(pres, max_degree=11, source="1,1")
     multiset = tuple(
         sorted(d for (_, _, d), n in rep.dims.items() for _ in range(n))
@@ -233,38 +252,35 @@ def check_y2_column(builtin: BuiltinFn = oracle.builtin_presentation) -> Check:
     for (l, r, u), c in tower.ext_dim_table(3, 2).items():
         model[("%d,%d" % l, "%d,%d" % r, u)] = c
     for name in ("Y2_P3", "Y2_P3_COMPLETED"):
-        quo = oracle.GradedQuotient(builtin(name), max_degree=40)
+        quo = oracle.quotient_basis(oracle.builtin_presentation(name), 40)
         if not quo.stabilized:
             detail += f"; {name}: did not stabilize"
             continue
-        dims = quo.dims()
         mism = sum(
             1
-            for key in set(model) | set(dims)
-            if model.get(key, 0) != dims.get(key, 0)
+            for key in set(model) | set(quo.dims)
+            if model.get(key, 0) != quo.dims.get(key, 0)
         )
         detail += (
             f"; {name}: total {quo.total_dim()}, "
             f"{mism} off-column block deviations from the model"
         )
-    return Check("y2_p3_column", ok, detail)
+    return ok, detail
 
 
-def check_calibration(builtin: BuiltinFn = oracle.builtin_presentation) -> Check:
+@_check("vertex_tuple_calibration")
+def check_calibration():
     """Degree-1 arrows out of vertex (1,1) match the weight-zero model."""
-    pres = builtin("Y2_P3")
     quiver_targets = sorted(
-        a.tgt for a in pres.arrows if a.src == "1,1" and a.deg == 1
+        a.tgt
+        for a in oracle.builtin_presentation("Y2_P3").arrows
+        if a.src == "1,1" and a.deg == 1
     )
     model_targets = sorted(
-        "%d,%d" % tower.vertex_tuples(3, m)[1]
-        for m in tower.enumerate_weight_zero(3, 2)
-        if tower.vertex_tuples(3, m)[0] == (1, 1) and m.z == 1
+        "%d,%d" % tower.vertex_tuples(3, m)[1] for m in _reference_column() if m.z == 1
     )
-    ok = quiver_targets == model_targets
-    return Check(
-        "vertex_tuple_calibration",
-        ok,
+    return (
+        quiver_targets == model_targets,
         f"degree-1 targets {model_targets} vs quiver {quiver_targets}",
     )
 
@@ -297,9 +313,8 @@ PROPERTY_SEED = 20240
 IDEMPOTENT_PS = (2, 3)
 
 
-def check_property_suite(
-    random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int = 3
-) -> Check:
+@_check("property_suite")
+def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int = 3):
     """Signed closure, associativity, involution, gradings, embedding, counts.
 
     What the arguments bound:
@@ -460,64 +475,26 @@ def check_property_suite(
                 problems.append(f"embed leaves the basis at {m}")
                 break
 
-    return Check(
-        "property_suite",
-        not problems,
-        problems[0] if problems else f"{checked} property instances checked",
-    )
+    return not problems, problems[0] if problems else f"{checked} property instances checked"
 
 
-def _corrupting_builtin(target: Optional[str]) -> BuiltinFn:
-    """Builtin factory that drops one relation of the targeted presentation."""
-
-    def factory(name: str, p: Optional[int] = None) -> oracle.QuiverPresentation:
-        pres = oracle.builtin_presentation(name, p)
-        if target is not None and name == target:
-            arrows = [(a.name, a.src, a.tgt, a.deg) for a in pres.arrows]
-            return oracle.QuiverPresentation(
-                pres.name, pres.vertices, arrows, pres.relations[:-1]
-            )
-        return pres
-
-    return factory
-
-
-def _guarded(fn, *args, **kwargs) -> Check:
-    """Convert an exception inside a check into a failing Check."""
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - checks must never crash the suite
-        return Check(fn.__name__.removeprefix("check_"), False, f"error: {exc}")
-
-
-def run_suite(suite: str = "fast", corrupt: Optional[str] = None) -> list[Check]:
-    """Run the named checks of the fast or full suite, in order."""
+def run_suite(suite: str = "fast") -> list[Check]:
+    """Run the checks of the fast or full suite, in order."""
     if suite not in ("fast", "full"):
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
-    builtin = _corrupting_builtin(corrupt)
-    checks = [
-        _guarded(check_reference_column),
-        _guarded(check_yoneda_multiset),
-        _guarded(check_oracle_concordance_q1, builtin=builtin),
-        _guarded(check_series_vs_enumeration),
-        _guarded(check_calibration, builtin=builtin),
-    ]
-    if suite == "fast":
-        checks.append(
-            _guarded(check_presentation_concordance, ps=(2, 3), builtin=builtin)
-        )
-        checks.append(_guarded(check_ses_identity, ps=(2, 3)))
-        checks.append(
-            _guarded(check_property_suite, random_rounds=2_000, ps=(2, 3), q_max=2)
-        )
-    else:
-        checks.append(
-            _guarded(check_presentation_concordance, ps=(2, 3, 5), builtin=builtin)
-        )
-        checks.append(_guarded(check_ses_identity, ps=(2, 3, 5, 7)))
-        checks.append(
-            _guarded(check_oracle_ses_identity, ps=(2, 3, 5, 7), builtin=builtin)
-        )
-        checks.append(_guarded(check_property_suite))
-    checks.append(_guarded(check_y2_column, builtin=builtin))
-    return checks
+    # Each check with its arguments in fast and in full (None: left out).
+    # Built per call, so a check swapped on the module is the one that runs.
+    table = (
+        (check_reference_column, {}, {}),
+        (check_yoneda_multiset, {}, {}),
+        (check_oracle_concordance_q1, {}, {}),
+        (check_series_vs_enumeration, {}, {}),
+        (check_calibration, {}, {}),
+        (check_presentation_concordance, {"ps": (2, 3)}, {"ps": (2, 3, 5)}),
+        (check_ses_identity, {"ps": (2, 3)}, {"ps": (2, 3, 5, 7)}),
+        (check_oracle_ses_identity, None, {"ps": (2, 3, 5, 7)}),
+        (check_property_suite, {"random_rounds": 2_000, "ps": (2, 3), "q_max": 2}, {}),
+        (check_y2_column, {}, {}),
+    )
+    column = 1 if suite == "fast" else 2
+    return [row[0](**row[column]) for row in table if row[column] is not None]

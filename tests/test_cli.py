@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import gl2ext
-from gl2ext import cli, oracle, tower
+from gl2ext import cli, oracle, series, tower, verify
 from gl2ext.cli import (
     basis_record,
     factor_from_record,
@@ -207,6 +208,27 @@ def test_oracle_requires_exactly_one_source(capsys):
     assert code == 2
 
 
+def _decimal_presentation(coeff) -> dict:
+    """Arrows a, b from 1 to 2 with relations coeff·a − b and (3/10)·a − b."""
+    return {
+        "vertices": ["1", "2"],
+        "arrows": [{"name": x, "src": "1", "tgt": "2", "deg": 1} for x in ("a", "b")],
+        "relations": [
+            [{"coeff": c, "path": ["a"]}, {"coeff": -1, "path": ["b"]}] for c in (coeff, "3/10")
+        ],
+    }
+
+
+def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
+    """"0.3" is 3/10, so the two relations agree and leave one of the two arrows."""
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(_decimal_presentation("0.3")), encoding="utf-8")
+    code, out, _ = run(capsys, "oracle", "quotient-dims", "--presentation", str(path), "--max-degree", "1")
+    assert code == 0
+    blocks = {(b["source"], b["target"], b["degree"]): b["dim"] for b in json.loads(out)["blocks"]}
+    assert blocks[("1", "2", 1)] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -236,6 +258,14 @@ def test_oracle_requires_exactly_one_source(capsys):
         ("oracle", "quotient-dims", "--name", "OMEGA", "--p", "3", "--max-degree", "3",
          "--format", "csv", "--with-paths"),
         ("oracle", "ext", "--presentation", "{exponent}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{repeated_vertex}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{repeated_arrow_end}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{vertex_string}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{float_coeff}", "--max-n", "2"),
+        ("oracle", "quotient-dims", "--presentation", "{bool_coeff}", "--max-degree", "2"),
+        ("oracle", "quotient-dims", "--presentation", "{deep}", "--max-degree", "2"),
+        ("oracle", "ext", "--presentation", "{deep}", "--max-n", "2"),
+        ("multiply", "--p", "2", "{deep_operand}", "{unit}"),
     ],
     ids=[
         "negative-max-degree",
@@ -263,6 +293,14 @@ def test_oracle_requires_exactly_one_source(capsys):
         "multiply-csv",
         "with-paths-csv",
         "exponent-coefficient",
+        "repeated-vertex",
+        "repeated-arrow-end",
+        "vertices-as-one-string",
+        "float-coefficient",
+        "boolean-coefficient",
+        "deep-presentation-quotient",
+        "deep-presentation-ext",
+        "deep-multiply-operand",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
@@ -276,6 +314,15 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
             "arrows": [arrow],
             "relations": [[{"coeff": "1e4000000", "path": ["a", "a"]}]],
         },
+        "repeated_vertex": {"vertices": ["1", "1"], "arrows": [], "relations": []},
+        "repeated_arrow_end": {
+            "vertices": ["1", "2", "1"],
+            "arrows": [{**arrow, "tgt": "2"}],
+            "relations": [],
+        },
+        "vertex_string": {"vertices": "12", "arrows": [], "relations": []},
+        "float_coeff": _decimal_presentation(0.3),
+        "bool_coeff": _decimal_presentation(True),
         "free_loop": {  # one loop, no relations: the quotient never stabilizes
             "vertices": ["a"],
             "arrows": [{"name": "x", "src": "a", "tgt": "a", "deg": 1}],
@@ -298,6 +345,9 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         files[key] = str(path)
+    files["deep"] = str(tmp_path / "deep.json")  # nested past the recursion limit
+    pathlib.Path(files["deep"]).write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    files["deep_operand"] = "[" * 50_000 + "]" * 50_000
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 2
     assert out == ""
@@ -489,15 +539,60 @@ def test_verify_fast_passes(capsys):
     assert all(check["ok"] for check in payload["checks"])
 
 
-def test_verify_corrupted_presentation_fails_with_named_check(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--suite", "fast", "--format", "json", "--corrupt", "C"
-    )
+def test_verify_corrupted_presentation_fails_with_named_check(capsys, monkeypatch):
+    builtin = oracle.builtin_presentation
+
+    def corrupted(name, p=None):
+        """The builtin, with the last relation of C dropped."""
+        pres = builtin(name, p)
+        if name != "C":
+            return pres
+        arrows = [(a.name, a.src, a.tgt, a.deg) for a in pres.arrows]
+        return oracle.QuiverPresentation(pres.name, pres.vertices, arrows, pres.relations[:-1])
+
+    monkeypatch.setattr(oracle, "builtin_presentation", corrupted)
+    code, out, _ = run(capsys, "verify", "--suite", "fast", "--format", "json")
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
     failing = [check["name"] for check in payload["checks"] if not check["ok"]]
-    assert "oracle_concordance_q1" in failing
+    assert failing == ["oracle_concordance_q1"]
+
+
+@pytest.mark.parametrize("suite", ["fast", "full"])
+def test_a_check_that_raises_keeps_its_name(monkeypatch, suite):
+    passing = [check.name for check in verify.run_suite(suite)]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    # what each check calls first
+    for module, name in (
+        (tower, "enumerate_weight_zero"),
+        (series, "lambda_q_series"),
+        (oracle, "builtin_presentation"),
+        (verify, "exact_sequence_defect"),
+        (verify, "theta_basis"),
+    ):
+        monkeypatch.setattr(module, name, broken)
+    checks = verify.run_suite(suite)
+    assert [check.name for check in checks] == passing
+    assert all(not check.ok and check.detail == "error: broken on purpose" for check in checks)
+
+
+# sha256 of the stdout of verify, recorded before the suites became one table.
+VERIFY_DIGESTS = {
+    "verify --suite fast": "96ee505704ee0a920b23b3c21709dc11b9e9d531ef79828765f19520e8370612",
+    "verify --suite full": "8d44ef3dbf5d00d43383885ffd4125d96f196ff479ca694df39f47bd03d824f7",
+    "verify --suite fast --format json": "90e161dc6871641f905c11e8ef2068dd8696b1e7d82d233321009625daa851cc",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_DIGESTS))
+def test_verify_keeps_its_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[command]
 
 
 def test_record_round_trips():

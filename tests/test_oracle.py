@@ -95,6 +95,9 @@ def test_presentation_validation():
         )
     with pytest.raises(ValueError):
         QuiverPresentation("bad", ["1"], [("a", "1", "9", 1)], [])
+    for vertices in (["1", "1"], ["1", "2", "1"], "12", ["1", 2], {"1": 0}):
+        with pytest.raises(ValueError, match="distinct strings"):
+            QuiverPresentation("bad", vertices, [], [])
 
 
 def test_presentation_json_round_trip():
@@ -283,9 +286,6 @@ def test_engine_matches_direct_elimination():
         pres = builtin_presentation(name, p)
         direct = _free_path_dims(pres, deg)
         assert quotient_basis(pres, deg).dims == direct
-        quo = GradedQuotient(pres, max_degree=deg)
-        engine = {k: v for k, v in quo.dims().items() if k[2] <= deg}
-        assert engine == direct
 
 
 def test_y2_column_matches_reference_data():
@@ -296,21 +296,21 @@ def test_y2_column_matches_reference_data():
 
 
 def test_y2_completed_matches_model_everywhere():
-    quo = GradedQuotient(builtin_presentation("Y2_P3_COMPLETED"), max_degree=40)
-    assert quo.stabilized
+    rep = quotient_basis(builtin_presentation("Y2_P3_COMPLETED"), 40)
+    assert rep.stabilized
     model = {}
     for (l, r, u), c in ext_dim_table(3, 2).items():
         model[("%d,%d" % l, "%d,%d" % r, u)] = c
-    assert quo.dims() == model
+    assert rep.dims == model
 
 
 def test_y2_base_relation_deviations_are_off_column_only():
-    quo = GradedQuotient(builtin_presentation("Y2_P3"), max_degree=40)
-    assert quo.stabilized
+    rep = quotient_basis(builtin_presentation("Y2_P3"), 40)
+    assert rep.stabilized
     model = {}
     for (l, r, u), c in ext_dim_table(3, 2).items():
         model[("%d,%d" % l, "%d,%d" % r, u)] = c
-    dims = quo.dims()
+    dims = rep.dims
     deviations = [
         key
         for key in set(model) | set(dims)
@@ -339,6 +339,14 @@ def test_exponent_coefficients_are_rejected(coeff):
     pres = builtin_presentation("C", 2).to_json_dict()
     pres["relations"][0][0]["coeff"] = coeff
     with pytest.raises(ValueError, match="exponent"):
+        QuiverPresentation.from_json_dict(pres)
+
+
+@pytest.mark.parametrize("coeff", [0.3, 1.0, True, False])
+def test_float_and_boolean_coefficients_are_rejected(coeff):
+    pres = builtin_presentation("C", 2).to_json_dict()
+    pres["relations"][0][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match='string such as "0.3"'):
         QuiverPresentation.from_json_dict(pres)
 
 
