@@ -4,110 +4,7 @@ The package computes signed monomial bases, gradings and dimension series
 of the combinatorial model of that extension algebra, together with an
 independent quiver-presentation oracle (exact rational linear algebra and
 minimal projective resolutions) used to validate the model.
+
+Each name is imported from its module (``gl2ext.tower``, ``gl2ext.oracle``
+and so on); the package root exports nothing.
 """
-
-from .paths import (
-    PathMonomial,
-    exact_sequence_defect,
-    in_omega,
-    in_theta,
-    is_prime,
-    omega_basis,
-    pi_mult,
-    require_prime,
-    restricted_mult,
-    sigma,
-    theta_basis,
-)
-from .lambda_basis import (
-    BiDegree,
-    LambdaMonomial,
-    bidegree,
-    k_degree,
-    lambda_mult,
-    lambda_unit,
-    path_j_degree,
-)
-from .tower import (
-    SignedTensorMonomial,
-    TensorMonomial,
-    embed,
-    enumerate_weight_zero,
-    ext_dim_table,
-    tensor_mult,
-    vertex_tuples,
-    weight,
-    yoneda_degree,
-)
-from .series import (
-    BigradedSeries,
-    InsufficientBoundsError,
-    TrigradedSeries,
-    apply_operator,
-    f_series,
-    fz_series,
-    lambda_q_series,
-    lambda_series,
-)
-from .oracle import (
-    ExtReport,
-    GradedBasisReport,
-    GradedQuotient,
-    NonFiniteDimensionalError,
-    PathBlowupError,
-    QuiverPresentation,
-    UnknownPresentationError,
-    builtin_presentation,
-    ext_dims,
-    quotient_basis,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BiDegree",
-    "BigradedSeries",
-    "ExtReport",
-    "GradedBasisReport",
-    "GradedQuotient",
-    "InsufficientBoundsError",
-    "LambdaMonomial",
-    "NonFiniteDimensionalError",
-    "PathBlowupError",
-    "PathMonomial",
-    "QuiverPresentation",
-    "SignedTensorMonomial",
-    "TensorMonomial",
-    "TrigradedSeries",
-    "UnknownPresentationError",
-    "apply_operator",
-    "bidegree",
-    "builtin_presentation",
-    "embed",
-    "enumerate_weight_zero",
-    "exact_sequence_defect",
-    "ext_dim_table",
-    "ext_dims",
-    "f_series",
-    "fz_series",
-    "in_omega",
-    "in_theta",
-    "is_prime",
-    "k_degree",
-    "lambda_mult",
-    "lambda_q_series",
-    "lambda_series",
-    "lambda_unit",
-    "omega_basis",
-    "path_j_degree",
-    "pi_mult",
-    "quotient_basis",
-    "require_prime",
-    "restricted_mult",
-    "sigma",
-    "tensor_mult",
-    "theta_basis",
-    "vertex_tuples",
-    "weight",
-    "yoneda_degree",
-]

@@ -113,15 +113,10 @@ def path_j_degree(p: int, e: LambdaMonomial) -> int:
     return p * e.h + e.b.degree
 
 
-def sort_key(e: LambdaMonomial) -> tuple[int, int, int, int, int]:
-    """Canonical order: lexicographic on (n, h, s, alpha, beta)."""
-    return (e.n, e.h, e.b.s, e.b.alpha, e.b.beta)
-
-
 def level_elements(
     p: int, level: int, variant: str = VARIANT_CORRECTED
 ) -> Iterator[LambdaMonomial]:
-    """All layer elements with e_l = n + h equal to ``level``, canonically ordered."""
+    """All layer elements with e_l = n + h equal to ``level``, ordered by (n, h, s, alpha, beta)."""
     check_variant(variant)
     if level < 0:
         return iter(())

@@ -69,6 +69,13 @@ def _coefficient(value) -> Fraction:
         raise ValueError(f"bad coefficient {value!r}: {exc}") from None
 
 
+def _path(value) -> tuple[str, ...]:
+    """A JSON path: a list of arrow names, not a string or an object to iterate."""
+    if type(value) is not list or not all(type(name) is str for name in value):
+        raise ValueError(f"path {value!r} must be a list of arrow names")
+    return tuple(value)
+
+
 class QuiverPresentation:
     """Vertices, graded arrows and homogeneous relations over the rationals."""
 
@@ -82,14 +89,17 @@ class QuiverPresentation:
             raise ValueError("vertices must be a list of distinct strings")
         self.vertices = list(vertices)
         self.arrows = [Arrow(*a) for a in arrows]
+        for a in self.arrows:
+            # a bool is an int to Python, but true is not a degree
+            if not all(type(field) is str for field in a[:3]) or type(a.deg) is not int:
+                raise ValueError(f"arrow {a.name!r}: name, src and tgt must be strings, deg an integer")
+            if a.src not in self.vertices or a.tgt not in self.vertices:
+                raise ValueError(f"arrow {a.name!r} has an unknown endpoint")
+            if a.deg < 1:
+                raise ValueError(f"arrow {a.name!r} must have positive degree")
         self.arrow_by_name = {a.name: a for a in self.arrows}
         if len(self.arrow_by_name) != len(self.arrows):
             raise ValueError("arrow names must be unique")
-        for a in self.arrows:
-            if a.src not in self.vertices or a.tgt not in self.vertices:
-                raise ValueError(f"arrow {a.name} has an unknown endpoint")
-            if a.deg < 1:
-                raise ValueError(f"arrow {a.name} must have positive degree")
         self.relations: list[Relation] = [
             [(_coefficient(c), tuple(path)) for c, path in rel] for rel in relations
         ]
@@ -105,7 +115,7 @@ class QuiverPresentation:
         for name in path:
             a = self.arrow_by_name[name]
             if a.src != at:
-                raise ValueError(f"path {list(path)} breaks at {name}")
+                raise ValueError(f"path {list(path)} breaks at {name!r}")
             at = a.tgt
             deg += a.deg
         return src, at, deg
@@ -153,7 +163,7 @@ class QuiverPresentation:
             data["vertices"],
             [(a["name"], a["src"], a["tgt"], a["deg"]) for a in data["arrows"]],
             [
-                [(t["coeff"], tuple(t["path"])) for t in rel]
+                [(t["coeff"], _path(t["path"])) for t in rel]
                 for rel in data["relations"]
             ],
         )
@@ -744,7 +754,7 @@ def ext_dims(
     quo = GradedQuotient(pres, max_degree=max_degree)
     if not quo.stabilized:
         raise NonFiniteDimensionalError(
-            f"{pres.name} did not stabilize below degree {max_degree}"
+            f"{pres.name!r} did not stabilize below degree {max_degree}"
         )
     rmul = quo.rmul
     arrows_into: dict = {v: [] for v in pres.vertices}

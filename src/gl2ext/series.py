@@ -93,10 +93,6 @@ class TrigradedSeries:
     def value(self, i: int, j: int, k: int) -> int:
         return self.dims.get((i, j, k), 0)
 
-    def j_support(self, i: int) -> int:
-        """Largest j with a nonzero entry at level i (-1 when the slice is empty)."""
-        return max((j for (ii, j, _) in self.dims if ii == i), default=-1)
-
 
 def f_series() -> TrigradedSeries:
     """The ground field as a series: a point mass at (0, 0, 0), complete everywhere."""

@@ -33,7 +33,6 @@ from .lambda_basis import (
     lambda_mult,
     lambda_unit,
     level_elements,
-    sort_key,
 )
 from .series import coupling_support_bound
 
@@ -48,11 +47,6 @@ class TensorMonomial(NamedTuple):
 class SignedTensorMonomial(NamedTuple):
     sign: int
     monomial: TensorMonomial
-
-
-def tensor_sort_key(m: TensorMonomial):
-    """Canonical order: by z, then factor-wise canonical layer order."""
-    return (m.z, tuple(sort_key(f) for f in m.factors))
 
 
 def tensor_mult(
@@ -140,9 +134,9 @@ def _chains(p: int, q: int, variant: str) -> Iterator[tuple[tuple[LambdaMonomial
 def enumerate_weight_zero(
     p: int, q: int, variant: str = VARIANT_CORRECTED
 ) -> list[TensorMonomial]:
-    """The complete weight-zero basis at q factors, canonically ordered."""
+    """The complete weight-zero basis at q factors, ordered by z, then factor by factor."""
     by_z: dict[int, list[TensorMonomial]] = {}
-    # the chains come factor-wise canonical, so grouping by z gives tensor_sort_key order
+    # the chains come factor-wise canonical, so grouping by z gives canonical order
     for f, z in _chains(p, q, variant):
         by_z.setdefault(z, []).append(TensorMonomial(f, z))
     return [m for z in sorted(by_z) for m in by_z[z]]

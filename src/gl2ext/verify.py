@@ -9,7 +9,9 @@ Three routes compute Ext dimensions, and each stays in ``src/`` as an
 independent route for the checks below: the weight-zero enumeration
 (``tower``, behind ``basis`` and ``ext-table``), the operator series
 (``series``, behind ``hilbert``), which counts without listing, and the
-quiver oracle (``oracle``), which shares no code with the monomial model.
+quiver oracle (``oracle``), which shares no code with the monomial model:
+it calls ``paths.require_prime`` only to check p for the builtin
+presentations, and importing it loads no other ``gl2ext`` module.
 
 - ``check_oracle_concordance_q1``: oracle Ext of C(p) = series =
   enumeration;

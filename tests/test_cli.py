@@ -266,6 +266,14 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         ("oracle", "quotient-dims", "--presentation", "{deep}", "--max-degree", "2"),
         ("oracle", "ext", "--presentation", "{deep}", "--max-n", "2"),
         ("multiply", "--p", "2", "{deep_operand}", "{unit}"),
+        ("oracle", "ext", "--presentation", "{bool_degree}", "--max-n", "2"),
+        ("oracle", "quotient-dims", "--presentation", "{float_degree}", "--max-degree", "2"),
+        ("oracle", "ext", "--presentation", "{float_degree}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{int_name}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{string_path}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{object_path}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{newline_name}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{newline_endpoint}", "--max-n", "2"),
     ],
     ids=[
         "negative-max-degree",
@@ -301,10 +309,23 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         "deep-presentation-quotient",
         "deep-presentation-ext",
         "deep-multiply-operand",
+        "boolean-degree",
+        "float-degree-quotient",
+        "float-degree-ext",
+        "integer-arrow-name",
+        "path-as-string",
+        "path-as-object",
+        "newline-in-presentation-name",
+        "newline-in-arrow-name",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     arrow = {"name": "a", "src": "1", "tgt": "1", "deg": 1}
+    line = {"vertices": ["1", "2"], "arrows": [{**arrow, "tgt": "2"}], "relations": []}
+    path_of_two = {  # a: 1 -> 2, b: 2 -> 3, and the relation ab = 0 with its path spelled wrong
+        "vertices": ["1", "2", "3"],
+        "arrows": [{**arrow, "tgt": "2"}, {"name": "b", "src": "2", "tgt": "3", "deg": 1}],
+    }
     payloads = {
         "bad_endpoint": {"vertices": ["1"], "arrows": [{**arrow, "tgt": "9"}], "relations": []},
         "text_degree": {"vertices": ["1"], "arrows": [{**arrow, "deg": "x"}], "relations": []},
@@ -323,6 +344,13 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         "vertex_string": {"vertices": "12", "arrows": [], "relations": []},
         "float_coeff": _decimal_presentation(0.3),
         "bool_coeff": _decimal_presentation(True),
+        "bool_degree": {**line, "arrows": [{**arrow, "tgt": "2", "deg": True}]},
+        "float_degree": {**line, "arrows": [{**arrow, "tgt": "2", "deg": 1.5}]},
+        "int_name": {**line, "arrows": [{**arrow, "tgt": "2", "name": 1}]},
+        "string_path": {**path_of_two, "relations": [[{"coeff": 1, "path": "ab"}]]},
+        "object_path": {**path_of_two, "relations": [[{"coeff": 1, "path": {"a": 1, "b": 2}}]]},
+        "newline_name": {**line, "name": "x\ny", "arrows": [arrow]},  # a free loop
+        "newline_endpoint": {**line, "arrows": [{**arrow, "name": "a\nb", "tgt": "9"}]},
         "free_loop": {  # one loop, no relations: the quotient never stabilizes
             "vertices": ["a"],
             "arrows": [{"name": "x", "src": "a", "tgt": "a", "deg": 1}],

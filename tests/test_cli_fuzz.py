@@ -26,16 +26,18 @@ def presentations(draw):
     The quiver is acyclic apart from at most one loop, so its quotient has
     polynomially many words per degree and ``oracle ext`` stays cheap even
     when the quotient never stabilizes.  Most relations are homogeneous
-    combinations of composable paths; a few are junk.
+    combinations of composable paths; a few are junk.  Arrow names are one
+    letter, so a path spelled as one string iterates to the same names.
     """
     vertices = draw(st.lists(st.sampled_from(VERTICES), min_size=1, max_size=3, unique=True))
-    degrees = st.sampled_from([1, 1, 1, 2, 3, 0])
+    degrees = st.sampled_from([1, 1, 1, 2, 3, 0, True, 1.5])
     arrows = []
     for i in range(draw(st.integers(0, 4))):
         src = draw(st.sampled_from(vertices))
         later = [v for v in vertices if v > src] or ["9"]
         tgt = draw(st.sampled_from(later))
-        arrows.append({"name": f"a{i}", "src": src, "tgt": tgt, "deg": draw(degrees)})
+        name = draw(st.sampled_from(["abcd"[i]] * 5 + [i]))
+        arrows.append({"name": name, "src": src, "tgt": tgt, "deg": draw(degrees)})
     if draw(st.booleans()):
         v = draw(st.sampled_from(vertices))
         arrows.append({"name": "t", "src": v, "tgt": v, "deg": draw(degrees)})
@@ -56,11 +58,13 @@ def presentations(draw):
     relations = []
     for _ in range(draw(st.integers(0, 3))):
         if groups and draw(st.integers(0, 5)):
-            paths = sorted(groups[draw(st.sampled_from(sorted(groups)))])
+            # arrow names may mix strings and integers, which do not compare
+            paths = sorted(groups[draw(st.sampled_from(sorted(groups)))], key=repr)
             chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True))
         else:
             chosen = draw(st.lists(junk, max_size=2))
-        relations.append([{"coeff": draw(coeffs), "path": list(path)} for path in chosen])
+        spell = draw(st.sampled_from([list] * 5 + [lambda path: "".join(map(str, path))]))
+        relations.append([{"coeff": draw(coeffs), "path": spell(path)} for path in chosen])
     return {"name": "fuzz", "vertices": vertices, "arrows": arrows, "relations": relations}
 
 
@@ -87,6 +91,17 @@ def _assert_contract(code, out, err):
         assert len(err.splitlines()) == 1
 
 
+def _well_typed(payload) -> bool:
+    """What a presentation that loads has: string arrow names and ends, integer
+    (not boolean) degrees, and every path a list of strings."""
+    arrows = all(
+        all(type(a[k]) is str for k in ("name", "src", "tgt")) and type(a["deg"]) is int
+        for a in payload["arrows"]
+    )
+    paths = (t["path"] for rel in payload["relations"] for t in rel)
+    return arrows and all(type(path) is list and all(type(n) is str for n in path) for path in paths)
+
+
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
@@ -97,10 +112,13 @@ def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
         path = os.path.join(tmp, "pres.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        _assert_contract(*_run(["oracle", "ext", "--presentation", path, "--max-n", str(max_n)]))
-        _assert_contract(
-            *_run(["oracle", "quotient-dims", "--presentation", path, "--max-degree", str(max_degree)])
-        )
+        for argv in (
+            ["oracle", "ext", "--presentation", path, "--max-n", str(max_n)],
+            ["oracle", "quotient-dims", "--presentation", path, "--max-degree", str(max_degree)],
+        ):
+            code, out, err = _run(argv)
+            _assert_contract(code, out, err)
+            assert code != 0 or _well_typed(payload)
 
 
 JSON_VALUES = st.recursive(
@@ -137,6 +155,7 @@ def test_presentation_loads_returns_or_raises_a_value_error(text):
     except (ValueError, KeyError, TypeError):
         return
     assert isinstance(pres, QuiverPresentation)
+    assert _well_typed(json.loads(text))
 
 
 @FUZZ

@@ -13,13 +13,17 @@ from gl2ext.lambda_basis import (
     lambda_unit,
     level_elements,
     path_j_degree,
-    sort_key,
 )
 from gl2ext.paths import PathMonomial, omega_basis, restricted_mult, theta_basis
 
 
 def L(s, a, b, n, h):
     return LambdaMonomial(PathMonomial(s, a, b), n, h)
+
+
+def sort_key(e):
+    """Reference canonical layer order: lexicographic on (n, h, s, alpha, beta)."""
+    return (e.n, e.h, e.b.s, e.b.alpha, e.b.beta)
 
 
 def test_unit():

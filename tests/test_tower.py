@@ -15,11 +15,11 @@ from gl2ext.tower import (
     is_weight_zero_basis_element,
     random_weight_zero,
     tensor_mult,
-    tensor_sort_key,
     vertex_tuples,
     weight,
     yoneda_degree,
 )
+from test_lambda_basis import sort_key
 
 
 def L(s, a, b, n, h):
@@ -122,10 +122,12 @@ WALK_CASES = [(2, q) for q in (1, 2, 3, 4)] + [(3, q) for q in (1, 2, 3)] + [(5,
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_enumeration_is_canonically_sorted_without_repeats(variant):
     # the enumerator groups its chains by z instead of sorting; this is the
-    # invariant that grouping relies on
+    # invariant that grouping relies on.  Canonical order: by z, then factor
+    # by factor in the layer order of ``sort_key``.
     for p, q in WALK_CASES:
         basis = enumerate_weight_zero(p, q, variant)
-        assert basis == sorted(set(basis), key=tensor_sort_key), (p, q)
+        canonical = sorted(set(basis), key=lambda m: (m.z, tuple(map(sort_key, m.factors))))
+        assert basis == canonical, (p, q)
 
 
 def _listed_dim_table(p, q, variant):
