@@ -216,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_presentation(args, parser) -> oracle.QuiverPresentation:
     if bool(args.name) == bool(args.presentation):
         parser.error("exactly one of --name and --presentation is required")
+    if args.presentation and args.p is not None:
+        parser.error("--p goes only with --name")
     if args.name:
         try:
             return oracle.builtin_presentation(args.name, args.p)

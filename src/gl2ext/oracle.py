@@ -11,8 +11,11 @@ presentations used for cross-validation, and an Ext computation by
 iterated minimal projective covers over the (finite-dimensional) quotient
 algebra.
 
-Rows are sparse dicts with one update, ``_add_scaled``.  The one work
-limit is ``MAX_CANDIDATES_PER_BLOCK`` candidate words per block and degree.
+Rows are sparse dicts with one update, ``_add_scaled``, but for two loops
+that re-key as they add: relation rows in ``GradedQuotient._build`` and
+module vectors in ``ext_dims``.  The one work limit is
+``MAX_CANDIDATES_PER_BLOCK`` candidate words per block and degree.  The one
+stopping rule, ``_settled``, needs a largest-arrow-degree window of no words.
 
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
@@ -28,6 +31,8 @@ PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
 
 # The candidate words one (source, target) block may have at one degree.
 MAX_CANDIDATES_PER_BLOCK = 500_000
+# The degree to which ``ext_dims`` builds the quotient before it gives up.
+EXT_MAX_DEGREE = 64
 
 
 class UnknownPresentationError(ValueError):
@@ -103,7 +108,7 @@ class QuiverPresentation:
         self.relations: list[Relation] = [
             [(_coefficient(c), tuple(path)) for c, path in rel] for rel in relations
         ]
-        self._signatures = [self._check_homogeneous(rel) for rel in self.relations]
+        self.signatures = [self._check_homogeneous(rel) for rel in self.relations]
 
     def path_endpoints(self, path: tuple[str, ...]) -> tuple[str, str, int]:
         """(source, target, degree) of a composable arrow-name path."""
@@ -130,9 +135,6 @@ class QuiverPresentation:
                     f"relation {rel} is not homogeneous in (source, target, degree)"
                 )
         return sig
-
-    def relation_signature(self, idx: int) -> tuple[str, str, int]:
-        return self._signatures[idx]
 
     def max_arrow_degree(self) -> int:
         return max((a.deg for a in self.arrows), default=1)
@@ -526,17 +528,19 @@ def quotient_basis(
     )
     live = {deg for _, _, deg in dims}
     zero_degrees = [d for d in range(1, max_degree + 1) if d not in live]
-    window = pres.max_arrow_degree()
     # not quo.stabilized: a column (``source``) can stabilize before the quotient
-    stabilized = max_degree >= window and all(
-        d in zero_degrees for d in range(max_degree - window + 1, max_degree + 1)
-    )
+    stabilized = _settled(pres, max(live, default=0), max_degree)
     return GradedBasisReport(
         pres.name, max_degree, dims, basis_paths, zero_degrees, stabilized
     )
 
 
 # -- the quotient engine ------------------------------------------------------
+
+
+def _settled(pres: QuiverPresentation, top: int, degree: int) -> bool:
+    """No word can appear past ``degree`` when the highest kept one is at ``top``."""
+    return top + pres.max_arrow_degree() <= degree
 
 
 class GradedQuotient:
@@ -553,7 +557,7 @@ class GradedQuotient:
     ``PathBlowupError``.
     """
 
-    def __init__(self, pres: QuiverPresentation, max_degree: int = 64):
+    def __init__(self, pres: QuiverPresentation, max_degree: int):
         self.pres = pres
         self.src: list[str] = []
         self.tgt: list[str] = []
@@ -576,35 +580,28 @@ class GradedQuotient:
         self.by_deg_tgt.setdefault((deg, tgt), []).append(idx)
         return idx
 
-    def _mul_vector_by_arrow(self, vec: dict, arrow: str) -> dict:
-        out: dict = {}
-        for idx, c in vec.items():
-            _add_scaled(out, c, self.rmul[(idx, arrow)])
-        return out
-
     def mul_vector_by_path(self, vec: dict, path: tuple[str, ...]) -> dict:
         for arrow in path:
-            vec = self._mul_vector_by_arrow(vec, arrow)
+            out: dict = {}
+            for idx, c in vec.items():
+                _add_scaled(out, c, self.rmul[(idx, arrow)])
+            vec = out
         return vec
 
     def _build(self, max_degree: int) -> None:
         pres = self.pres
-        window = pres.max_arrow_degree()
         relations = [
-            (pres.relation_signature(ridx), [(_exact(c), path) for c, path in rel])
-            for ridx, rel in enumerate(pres.relations)
+            (sig, [(_exact(c), path) for c, path in rel])
+            for sig, rel in zip(pres.signatures, pres.relations)
         ]
         for v in pres.vertices:
             self._add_element(v, v, 0, ())
-        zero_run = 0
+        top = 0  # the degree of the highest word kept so far
         for d in range(1, max_degree + 1):
             # candidates (basis element, final arrow), grouped per block
             cands: dict = {}
             for a in pres.arrows:
-                dd = d - a.deg
-                if dd < 0:
-                    continue
-                for idx in self.by_deg_tgt.get((dd, a.src), []):
+                for idx in self.by_deg_tgt.get((d - a.deg, a.src), []):
                     block = (self.src[idx], a.tgt)
                     cands.setdefault(block, []).append((idx, a.name))
             for block, cand_list in cands.items():
@@ -616,10 +613,7 @@ class GradedQuotient:
                 cand_list.sort()
             rows_by_block: dict = {}
             for (rsrc, rtgt, rdeg), rel in relations:
-                dd = d - rdeg
-                if dd < 0:
-                    continue
-                for idx in self.by_deg_tgt.get((dd, rsrc), []):
+                for idx in self.by_deg_tgt.get((d - rdeg, rsrc), []):
                     row: dict = {}
                     for coeff, path in rel:
                         vec = self.mul_vector_by_path({idx: 1}, path[:-1])
@@ -634,44 +628,24 @@ class GradedQuotient:
                     if row:
                         block = (self.src[idx], rtgt)
                         rows_by_block.setdefault(block, []).append(row)
-            new_any = False
             for block, cand_list in sorted(cands.items()):
                 piv: dict = {}
                 for row in rows_by_block.get(block, []):
                     reduce_row(piv, row)
                 reduced = _fully_reduce(piv)
+                # candidates ascend, so a pivot row's other keys already have ids
                 id_of: dict = {}
                 for cand in cand_list:
                     if cand in reduced:
-                        continue
-                    bidx, arrow = cand
-                    new_id = self._add_element(
-                        block[0], block[1], d, self.rep[bidx] + (arrow,), bidx
-                    )
-                    id_of[cand] = new_id
-                    new_any = True
-                for cand in cand_list:
-                    bidx, arrow = cand
-                    if cand in id_of:
-                        self.rmul[(bidx, arrow)] = (
-                            self.rmul.get((bidx, arrow), {}) | {id_of[cand]: 1}
-                        )
+                        self.rmul[cand] = {id_of[k]: -c for k, c in reduced[cand].items() if k != cand}
                     else:
-                        expr = {}
-                        for key, c in reduced[cand].items():
-                            if key == cand:
-                                continue
-                            expr[id_of[key]] = -c
-                        self.rmul.setdefault((bidx, arrow), {}).update(expr)
-            # arrows from blocks with no candidates still need empty actions
-            for a in pres.arrows:
-                dd = d - a.deg
-                if dd < 0:
-                    continue
-                for idx in self.by_deg_tgt.get((dd, a.src), []):
-                    self.rmul.setdefault((idx, a.name), {})
-            zero_run = 0 if new_any else zero_run + 1
-            if zero_run >= window:
+                        bidx, arrow = cand
+                        id_of[cand] = self._add_element(
+                            block[0], block[1], d, self.rep[bidx] + (arrow,), bidx
+                        )
+                        self.rmul[cand] = {id_of[cand]: 1}
+                        top = d
+            if _settled(pres, top, d):
                 self.stabilized = True
                 break
 
@@ -732,9 +706,7 @@ def _nullspace(rows: list[tuple]) -> list[dict]:
     return kernel
 
 
-def ext_dims(
-    pres: QuiverPresentation, max_n: int, max_degree: int = 64
-) -> ExtReport:
+def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     """Ext dimensions between the simple modules of the quotient algebra.
 
     Builds the finite quotient structure first (raising when it does not
@@ -751,10 +723,10 @@ def ext_dims(
     lower pieces already span it, no elimination over the piece is needed,
     and the last stage is decided by counting alone.
     """
-    quo = GradedQuotient(pres, max_degree=max_degree)
+    quo = GradedQuotient(pres, max_degree=EXT_MAX_DEGREE)
     if not quo.stabilized:
         raise NonFiniteDimensionalError(
-            f"{pres.name!r} did not stabilize below degree {max_degree}"
+            f"{pres.name!r} did not stabilize below degree {EXT_MAX_DEGREE}"
         )
     rmul = quo.rmul
     arrows_into: dict = {v: [] for v in pres.vertices}

@@ -140,26 +140,21 @@ def theta_basis(p: int) -> list[PathMonomial]:
     return list(_theta_basis(p))
 
 
-# Built once per (p, variant); the public functions hand out fresh lists.
+# Built once per (p, variant) by filtering, in lexicographic order, the box
+# s in 1..p, alpha and beta below p, which holds both strips; the public
+# functions hand out fresh lists.
+def _box(p: int):
+    return (PathMonomial(s, a, b) for s in range(1, p + 1) for a in range(p) for b in range(p))
+
+
 @lru_cache(maxsize=64)
 def _omega_basis(p: int, variant: str) -> tuple[PathMonomial, ...]:
-    out = []
-    for s in range(1, p + 1):
-        for beta in range(0, s):
-            amax = (p - 1) if variant == VARIANT_PRINTED else (p - s + beta)
-            for alpha in range(0, amax + 1):
-                out.append(PathMonomial(s, alpha, beta))
-    return tuple(sorted(out))
+    return tuple(m for m in _box(p) if _in_omega(p, *m, variant == VARIANT_PRINTED))
 
 
 @lru_cache(maxsize=64)
 def _theta_basis(p: int) -> tuple[PathMonomial, ...]:
-    out = []
-    for s in range(1, p):
-        for alpha in range(0, p - s):
-            for beta in range(0, s):
-                out.append(PathMonomial(s, alpha, beta))
-    return tuple(sorted(out))
+    return tuple(m for m in _box(p) if _in_theta(p, *m))
 
 
 def count_by_source(basis: list[PathMonomial]) -> dict[int, int]:

@@ -197,8 +197,8 @@ def lambda_q_series(
     check_variant(variant)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    if k_max is None:
-        k_max = 2 * (p**q - 1)
+    top = 2 * (p**q - 1)  # the top Yoneda degree: a larger k_max adds only zeros
+    k_max = top if k_max is None else min(k_max, top)
     needs = [0]
     for _ in range(q):
         needs.append(coupling_support_bound(p, needs[-1]))

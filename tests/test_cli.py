@@ -274,6 +274,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         ("oracle", "ext", "--presentation", "{object_path}", "--max-n", "2"),
         ("oracle", "ext", "--presentation", "{newline_name}", "--max-n", "2"),
         ("oracle", "ext", "--presentation", "{newline_endpoint}", "--max-n", "2"),
+        ("oracle", "ext", "--presentation", "{line}", "--p", "5", "--max-n", "2"),
     ],
     ids=[
         "negative-max-degree",
@@ -317,6 +318,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         "path-as-object",
         "newline-in-presentation-name",
         "newline-in-arrow-name",
+        "p-with-presentation",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
@@ -327,6 +329,7 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         "arrows": [{**arrow, "tgt": "2"}, {"name": "b", "src": "2", "tgt": "3", "deg": 1}],
     }
     payloads = {
+        "line": line,  # a valid presentation
         "bad_endpoint": {"vertices": ["1"], "arrows": [{**arrow, "tgt": "9"}], "relations": []},
         "text_degree": {"vertices": ["1"], "arrows": [{**arrow, "deg": "x"}], "relations": []},
         "not_an_object": [],

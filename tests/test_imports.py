@@ -1,6 +1,8 @@
 """What importing a gl2ext module loads, each time in a fresh interpreter."""
 
+import importlib.util
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -30,3 +32,15 @@ def test_the_cli_loads_every_layer_module():
     # module up in sys.modules after importing gl2ext.cli; a layer imported
     # lazily would make ``bench/run.py --trace 1`` fail with a KeyError
     assert LAYERS <= _loaded_after("gl2ext.cli")
+
+
+def test_the_tracer_targets_exist():
+    # a renamed or removed target breaks only ``bench/run.py --trace 1``
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for short, names in [*spans.SPANNED.items(), *spans.COUNTED.items(), ("oracle", ("GradedQuotient",))]:
+        module = importlib.import_module(f"{spans.PACKAGE}.{short}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, (short, missing)

@@ -52,7 +52,7 @@ def _free_path_dims(pres, max_degree):
                     if a.tgt == s:
                         rows.append(((a.src, t), {(a.name,) + x: c for x, c in row.items()}))
         for idx, rel in enumerate(pres.relations):
-            rsrc, rtgt, rdeg = pres.relation_signature(idx)
+            rsrc, rtgt, rdeg = pres.signatures[idx]
             if rdeg == d:
                 rows.append(((rsrc, rtgt), {x: c for c, x in rel}))
         layer_pivots = {}
@@ -278,7 +278,7 @@ def test_ext_rejects_nonfinite():
     # one loop, no relations: the path algebra is infinite dimensional
     pres = QuiverPresentation("free-loop", ["1"], [("t", "1", "1", 1)], [])
     with pytest.raises(NonFiniteDimensionalError):
-        ext_dims(pres, 2, max_degree=12)
+        ext_dims(pres, 2)
 
 
 def test_engine_matches_direct_elimination():
@@ -407,7 +407,7 @@ def test_relations_annihilate_every_basis_element():
         pres = builtin_presentation(name, p)
         quo = GradedQuotient(pres, max_degree=40)
         for ridx, rel in enumerate(pres.relations):
-            rsrc, _, _ = pres.relation_signature(ridx)
+            rsrc, _, _ = pres.signatures[ridx]
             for idx in range(len(quo.src)):
                 if quo.tgt[idx] != rsrc:
                     continue

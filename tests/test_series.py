@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -125,3 +126,11 @@ def test_trigraded_series_drops_zero_entries():
 
 def test_printed_variant_changes_the_series():
     assert lambda_q_series(3, 2, variant="printed") != lambda_q_series(3, 2)
+
+
+def test_a_degree_cap_above_the_top_degree_costs_nothing():
+    # nothing lies above the top Yoneda degree 2 * (p**q - 1), so a larger
+    # k_max gives the same answer and must not make work that grows with it
+    start = time.perf_counter()
+    assert lambda_q_series(3, 3, k_max=10**5) == lambda_q_series(3, 3)
+    assert time.perf_counter() - start < 2
