@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import oracle, series, tower, verify
 from .lambda_basis import LambdaMonomial, is_valid
-from .paths import VARIANT_CORRECTED, VARIANTS, PathMonomial, is_prime
+from .paths import PathMonomial, is_prime
 from .tower import TensorMonomial
 
 
@@ -95,15 +95,15 @@ def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _parse_tuple(text: str, q: int, flag: str, top: int) -> tuple[int, ...]:
+def _parse_tuple(text: str, q: int, flag: str, p: int) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{flag} must be comma-separated integers")
     if len(values) != q:
         raise argparse.ArgumentTypeError(f"{flag} must list exactly q={q} vertices")
-    if not all(1 <= v <= top for v in values):
-        raise argparse.ArgumentTypeError(f"{flag} vertices must lie in 1..{top}")
+    if not all(1 <= v <= p for v in values):
+        raise argparse.ArgumentTypeError(f"{flag} vertices must lie in 1..{p}")
     return values
 
 
@@ -111,18 +111,16 @@ def _vertex_filters(args, parser) -> tuple[Optional[tuple[int, ...]], Optional[t
     """The --left and --right tuples, checked before any enumeration.
 
     Left vertices are path sources, 1..p.  Right vertices are path targets,
-    reflected through p after an odd tensor power: 1..p under the
-    corrected rules, 1..2p-1 under the printed ones.
+    reflected through p after an odd tensor power, and lie in 1..p too.
     """
     if args.q < 1:
         parser.error("q must be >= 1")
-    right_top = args.p if args.variant == VARIANT_CORRECTED else 2 * args.p - 1
     left = right = None
     try:
         if args.left is not None:
             left = _parse_tuple(args.left, args.q, "--left", args.p)
         if args.right is not None:
-            right = _parse_tuple(args.right, args.q, "--right", right_top)
+            right = _parse_tuple(args.right, args.q, "--right", args.p)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     return left, right
@@ -154,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=_prime, required=True, help="prime parameter")
         if q:
             sp.add_argument("--q", type=int, required=True, help="tensor factors")
-        sp.add_argument(
-            "--variant",
-            choices=VARIANTS,
-            default="corrected",
-            help="printed selects the uncorrected variant of the rules (comparison runs only)",
-        )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("basis", help="list the weight-zero basis")
@@ -238,11 +230,11 @@ def cmd_basis(args, parser) -> int:
     left, right = _vertex_filters(args, parser)
     records = (
         basis_record(args.p, m)
-        for m in tower.enumerate_weight_zero(args.p, args.q, args.variant)
+        for m in tower.enumerate_weight_zero(args.p, args.q)
         if _kept(left, right, *tower.vertex_tuples(args.p, m))
     )
-    if args.format == "json":
-        _emit_json({"p": args.p, "q": args.q, "variant": args.variant, "basis": list(records)})
+    if args.format == "json":  # the header keeps its fixed rules field; earlier readers check it
+        _emit_json({"p": args.p, "q": args.q, "variant": "corrected", "basis": list(records)})
     else:
         _emit_csv(
             ["factors", "z", "yoneda", "left", "right"],
@@ -264,7 +256,7 @@ def cmd_ext_table(args, parser) -> int:
     left, right = _vertex_filters(args, parser)
     table = sorted(
         (key, dim)
-        for key, dim in tower.ext_dim_table(args.p, args.q, args.variant).items()
+        for key, dim in tower.ext_dim_table(args.p, args.q).items()
         if _kept(left, right, key[0], key[1])
     )
     if args.format == "json":
@@ -273,7 +265,7 @@ def cmd_ext_table(args, parser) -> int:
             for (lt, rt, n), dim in table
         ]
         del table  # the encoder needs only the rows
-        _emit_json({"p": args.p, "q": args.q, "variant": args.variant, "table": rows})
+        _emit_json({"p": args.p, "q": args.q, "variant": "corrected", "table": rows})
     else:
         _emit_csv(
             ["left_tuple", "right_tuple", "n", "dim"],
@@ -288,12 +280,12 @@ def cmd_ext_table(args, parser) -> int:
 def cmd_hilbert(args, parser) -> int:
     if args.q < 0:
         parser.error("q must be >= 0")
-    dims = series.lambda_q_series(args.p, args.q, k_max=args.max_degree, variant=args.variant)
+    dims = series.lambda_q_series(args.p, args.q, k_max=args.max_degree)
     if args.format == "json":
         payload = {
             "p": args.p,
             "q": args.q,
-            "variant": args.variant,
+            "variant": "corrected",
             "dims": {str(k): v for k, v in sorted(dims.items())},
         }
         _emit_json(payload)
@@ -314,13 +306,12 @@ def cmd_multiply(args, parser) -> int:
         if operand.z < 0:
             parser.error(f"operand z must be >= 0, got {operand.z}")
         for f in operand.factors:
-            if not is_valid(args.p, f, args.variant):
+            if not is_valid(args.p, f):
                 parser.error(
-                    f"operand factor {factor_record(f)} is not a layer element "
-                    f"at p={args.p} ({args.variant})"
+                    f"operand factor {factor_record(f)} is not a layer element at p={args.p}"
                 )
     try:
-        result = tower.tensor_mult(args.p, a, b, args.variant)
+        result = tower.tensor_mult(args.p, a, b)
     except ValueError as exc:
         parser.error(str(exc))
     if result is None:

@@ -13,14 +13,11 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .paths import (
-    VARIANT_CORRECTED,
-    VARIANT_PRINTED,
     PathMonomial,
     _in_omega,
     _in_theta,
     _omega_basis,
     _theta_basis,
-    check_variant,
     in_omega,
     in_theta,
 )
@@ -49,28 +46,21 @@ def lambda_unit() -> LambdaMonomial:
     return _UNIT
 
 
-def is_valid(p: int, e: LambdaMonomial, variant: str = VARIANT_CORRECTED) -> bool:
-    check_variant(variant)
+def is_valid(p: int, e: LambdaMonomial) -> bool:
     b, n, h = e
     if n < 0 or h < 0:
         return False
     if n == 0:
-        return in_omega(p, b, variant)
+        return in_omega(p, b)
     return in_theta(p, b)
 
 
-def lambda_mult(
-    p: int,
-    x: LambdaMonomial,
-    y: LambdaMonomial,
-    variant: str = VARIANT_CORRECTED,
-) -> Optional[LambdaMonomial]:
+def lambda_mult(p: int, x: LambdaMonomial, y: LambdaMonomial) -> Optional[LambdaMonomial]:
     """Layer product; the right path is reflected when x.n is odd.
 
     Returns None (zero) when the path parts do not compose or the
     composite leaves the basis prescribed by the total tensor power.
     """
-    printed = check_variant(variant) == VARIANT_PRINTED
     (s, alpha, beta), x_n, x_h = x
     (y_s, y_alpha, y_beta), y_n, y_h = y
     if x_n % 2:  # reflect y.b as sigma does: source p - s, steps exchanged
@@ -81,25 +71,17 @@ def lambda_mult(
     beta += y_beta
     n = x_n + y_n
     if n == 0:
-        if not _in_omega(p, s, alpha, beta, printed):
+        if not _in_omega(p, s, alpha, beta):
             return None
     elif not _in_theta(p, s, alpha, beta):
         return None
     return LambdaMonomial(PathMonomial(s, alpha, beta), n, x_h + y_h)
 
 
-def bidegree(p: int, e: LambdaMonomial, variant: str = VARIANT_CORRECTED) -> BiDegree:
-    """Bidegree (e_l, e_r) = (n + h, p*h + |b| + n).
-
-    The printed variant drops the +n term of the coupling degree; it is
-    inconsistent with the explicit weight-zero data and is exposed only
-    for comparison runs.
-    """
+def bidegree(p: int, e: LambdaMonomial) -> BiDegree:
+    """Bidegree (e_l, e_r) = (n + h, p*h + |b| + n); the coupling degree counts n."""
     (_, alpha, beta), n, h = e
-    e_r = p * h + alpha + beta
-    if check_variant(variant) == VARIANT_CORRECTED:
-        e_r += n
-    return BiDegree(n + h, e_r)
+    return BiDegree(n + h, p * h + alpha + beta + n)
 
 
 def k_degree(p: int, e: LambdaMonomial) -> int:
@@ -113,14 +95,11 @@ def path_j_degree(p: int, e: LambdaMonomial) -> int:
     return p * e.h + e.b.degree
 
 
-def level_elements(
-    p: int, level: int, variant: str = VARIANT_CORRECTED
-) -> Iterator[LambdaMonomial]:
+def level_elements(p: int, level: int) -> Iterator[LambdaMonomial]:
     """All layer elements with e_l = n + h equal to ``level``, ordered by (n, h, s, alpha, beta)."""
-    check_variant(variant)
     if level < 0:
         return iter(())
-    omega = _omega_basis(p, variant)
+    omega = _omega_basis(p)
     theta = _theta_basis(p)
     return (
         LambdaMonomial(b, n, level - n)

@@ -16,11 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-VARIANT_CORRECTED = "corrected"
-VARIANT_PRINTED = "printed"
-VARIANTS = (VARIANT_CORRECTED, VARIANT_PRINTED)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -36,12 +31,6 @@ def require_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"p must be a prime >= 2, got {p}")
     return p
-
-
-def check_variant(variant: str) -> str:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return variant
 
 
 class PathMonomial(NamedTuple):
@@ -69,16 +58,12 @@ def pi_mult(a: PathMonomial, b: PathMonomial) -> Optional[PathMonomial]:
     return PathMonomial(s, alpha + b_alpha, beta + b_beta)
 
 
-def in_omega(p: int, m: PathMonomial, variant: str = VARIANT_CORRECTED) -> bool:
-    """Membership in the closed-strip basis on vertices 1..p.
+def in_omega(p: int, m: PathMonomial) -> bool:
+    """Membership in the closed strip: source and target in 1..p, beta <= s - 1.
 
-    The corrected rule bounds the target by p; the printed rule instead
-    bounds alpha by p-1 and is kept only for comparison runs (it admits
-    classes whose every representative leaves the strip, e.g. (2,1,0) at
-    p=2, and fails the presentation oracle).
+    The paper's printed rule bounds alpha by p - 1 instead; ``verify`` refutes it.
     """
-    printed = check_variant(variant) == VARIANT_PRINTED
-    return _in_omega(p, *m, printed)
+    return _in_omega(p, *m)
 
 
 def in_theta(p: int, m: PathMonomial) -> bool:
@@ -87,10 +72,10 @@ def in_theta(p: int, m: PathMonomial) -> bool:
 
 
 # The membership rules on unpacked fields, shared with the layer product.
-def _in_omega(p: int, s: int, alpha: int, beta: int, printed: bool) -> bool:
-    if alpha < 0 or beta < 0 or not (1 <= s <= p and beta <= s - 1):
+def _in_omega(p: int, s: int, alpha: int, beta: int) -> bool:
+    if alpha < 0 or beta < 0:
         return False
-    return alpha <= p - 1 if printed else s + alpha - beta <= p
+    return 1 <= s <= p and beta <= s - 1 and s + alpha - beta <= p
 
 
 def _in_theta(p: int, s: int, alpha: int, beta: int) -> bool:
@@ -107,17 +92,10 @@ def sigma(p: int, m: PathMonomial) -> PathMonomial:
     return PathMonomial(p - m.s, m.beta, m.alpha)
 
 
-def restricted_mult(
-    p: int,
-    basis: str,
-    a: PathMonomial,
-    b: PathMonomial,
-    variant: str = VARIANT_CORRECTED,
-) -> Optional[PathMonomial]:
+def restricted_mult(p: int, basis: str, a: PathMonomial, b: PathMonomial) -> Optional[PathMonomial]:
     """Product inside the tagged basis; None when the product leaves it."""
-    check_variant(variant)
     if basis == "omega":
-        member = lambda m: in_omega(p, m, variant)
+        member = lambda m: in_omega(p, m)
     elif basis == "theta":
         member = lambda m: in_theta(p, m)
     else:
@@ -130,9 +108,9 @@ def restricted_mult(
     return prod
 
 
-def omega_basis(p: int, variant: str = VARIANT_CORRECTED) -> list[PathMonomial]:
+def omega_basis(p: int) -> list[PathMonomial]:
     """All closed-strip classes, in lexicographic (s, alpha, beta) order."""
-    return list(_omega_basis(p, check_variant(variant)))
+    return list(_omega_basis(p))
 
 
 def theta_basis(p: int) -> list[PathMonomial]:
@@ -140,7 +118,7 @@ def theta_basis(p: int) -> list[PathMonomial]:
     return list(_theta_basis(p))
 
 
-# Built once per (p, variant) by filtering, in lexicographic order, the box
+# Built once per p by filtering, in lexicographic order, the box
 # s in 1..p, alpha and beta below p, which holds both strips; the public
 # functions hand out fresh lists.
 def _box(p: int):
@@ -148,8 +126,8 @@ def _box(p: int):
 
 
 @lru_cache(maxsize=64)
-def _omega_basis(p: int, variant: str) -> tuple[PathMonomial, ...]:
-    return tuple(m for m in _box(p) if _in_omega(p, *m, variant == VARIANT_PRINTED))
+def _omega_basis(p: int) -> tuple[PathMonomial, ...]:
+    return tuple(m for m in _box(p) if _in_omega(p, *m))
 
 
 @lru_cache(maxsize=64)
@@ -164,7 +142,7 @@ def count_by_source(basis: list[PathMonomial]) -> dict[int, int]:
     return counts
 
 
-def exact_sequence_defect(p: int, l: int, variant: str = VARIANT_CORRECTED) -> int:
+def exact_sequence_defect(p: int, l: int) -> int:
     """Alternating sum of source-column sizes from the four-term splice.
 
     For 1 <= l <= p-1 the closed-strip columns at l, p and p-l and the
@@ -174,6 +152,6 @@ def exact_sequence_defect(p: int, l: int, variant: str = VARIANT_CORRECTED) -> i
     """
     if not (1 <= l <= p - 1):
         raise ValueError(f"need 1 <= l <= p-1, got l={l}")
-    om = count_by_source(omega_basis(p, variant))
+    om = count_by_source(omega_basis(p))
     th = count_by_source(theta_basis(p))
     return om.get(l, 0) - om.get(p, 0) + om.get(p - l, 0) - th.get(p - l, 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .paths import VARIANT_CORRECTED, check_variant, require_prime
+from .paths import require_prime
 from .lambda_basis import bidegree, k_degree, level_elements
 
 
@@ -78,17 +78,11 @@ class TrigradedSeries:
         self,
         dims: dict[tuple[int, int, int], int],
         i_max: Optional[int],
-        j_max: Optional[int],
         k_max: Optional[int],
-        j_complete: bool = True,
     ):
         self.dims = {key: v for key, v in dims.items() if v}
         self.i_max = i_max
-        self.j_max = j_max
         self.k_max = k_max
-        # True when every declared (i, k) slice carries its full j-support;
-        # required for sound operator application.
-        self.j_complete = j_complete
 
     def value(self, i: int, j: int, k: int) -> int:
         return self.dims.get((i, j, k), 0)
@@ -96,7 +90,7 @@ class TrigradedSeries:
 
 def f_series() -> TrigradedSeries:
     """The ground field as a series: a point mass at (0, 0, 0), complete everywhere."""
-    return TrigradedSeries({(0, 0, 0): 1}, i_max=None, j_max=None, k_max=None)
+    return TrigradedSeries({(0, 0, 0): 1}, i_max=None, k_max=None)
 
 
 def coupling_support_bound(p: int, i: int) -> int:
@@ -104,34 +98,22 @@ def coupling_support_bound(p: int, i: int) -> int:
     return p * i + 2 * p - 2
 
 
-def lambda_series(
-    p: int,
-    i_max: int,
-    j_max: Optional[int] = None,
-    k_max: int = 0,
-    variant: str = VARIANT_CORRECTED,
-) -> TrigradedSeries:
+def lambda_series(p: int, i_max: int, k_max: int = 0) -> TrigradedSeries:
     """Trigraded dims of the twisted tensor layer within the given bounds.
 
     dims(i, j, k) counts elements (b, n, h) with level n + h = i, coupling
-    degree j and homological degree k.  When j_max is omitted the full
-    per-level support bound is used, which keeps operator application sound.
+    degree j and homological degree k <= k_max.  Every j is kept: level i
+    couples at most at coupling_support_bound(p, i), so the support is finite.
     """
     require_prime(p)
-    check_variant(variant)
-    full_j = coupling_support_bound(p, i_max)
-    if j_max is None:
-        j_max = full_j
     dims: dict[tuple[int, int, int], int] = {}
     for i in range(i_max + 1):
-        for e in level_elements(p, i, variant):
-            j = bidegree(p, e, variant).e_r
+        for e in level_elements(p, i):
+            j = bidegree(p, e).e_r
             k = k_degree(p, e)
-            if j <= j_max and k <= k_max:
+            if k <= k_max:
                 dims[(i, j, k)] = dims.get((i, j, k), 0) + 1
-    return TrigradedSeries(
-        dims, i_max=i_max, j_max=j_max, k_max=k_max, j_complete=j_max >= full_j
-    )
+    return TrigradedSeries(dims, i_max=i_max, k_max=k_max)
 
 
 def apply_operator(
@@ -145,10 +127,6 @@ def apply_operator(
     returned k-bound; its first index plays the j-role in any later
     application.
     """
-    if not gamma.j_complete:
-        raise InsufficientBoundsError(
-            "operator series is j-truncated; rebuild it with full j support"
-        )
     out_k = _min_bound(gamma.k_max, delta.k_bound, k_max)
     if k_max is not None and out_k < k_max:
         raise InsufficientBoundsError(
@@ -181,12 +159,7 @@ def apply_operator(
     return BigradedSeries(dims=out, j_bound=gamma.i_max, k_bound=out_k)
 
 
-def lambda_q_series(
-    p: int,
-    q: int,
-    k_max: Optional[int] = None,
-    variant: str = VARIANT_CORRECTED,
-) -> dict[int, int]:
+def lambda_q_series(p: int, q: int, k_max: Optional[int] = None) -> dict[int, int]:
     """Homologically graded dims after q layer applications and the field cut.
 
     The required coupling ranges are derived from the per-level support
@@ -194,7 +167,6 @@ def lambda_q_series(
     levels up to p*(the next stage's need) + 2p - 2.
     """
     require_prime(p)
-    check_variant(variant)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     top = 2 * (p**q - 1)  # the top Yoneda degree: a larger k_max adds only zeros
@@ -205,7 +177,7 @@ def lambda_q_series(
     needs.reverse()  # needs[m] = level range required of stage m's operator
     delta = fz_series()
     for m in range(1, q + 1):
-        gamma = lambda_series(p, i_max=needs[m], k_max=k_max, variant=variant)
+        gamma = lambda_series(p, i_max=needs[m], k_max=k_max)
         delta = apply_operator(gamma, delta, k_max=k_max)
     cut = apply_operator(f_series(), delta, k_max=k_max)
     return {k: v for (i, k), v in sorted(cut.support().items()) if i == 0}

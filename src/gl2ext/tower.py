@@ -17,14 +17,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple, Optional
 
-from .paths import (
-    VARIANT_CORRECTED,
-    PathMonomial,
-    _omega_basis,
-    _theta_basis,
-    check_variant,
-    require_prime,
-)
+from .paths import PathMonomial, _omega_basis, _theta_basis, require_prime
 from .lambda_basis import (
     LambdaMonomial,
     bidegree,
@@ -49,18 +42,12 @@ class SignedTensorMonomial(NamedTuple):
     monomial: TensorMonomial
 
 
-def tensor_mult(
-    p: int,
-    a: TensorMonomial,
-    b: TensorMonomial,
-    variant: str = VARIANT_CORRECTED,
-) -> Optional[SignedTensorMonomial]:
+def tensor_mult(p: int, a: TensorMonomial, b: TensorMonomial) -> Optional[SignedTensorMonomial]:
     """Coordinate-wise product with the super sign; None when any slot dies.
 
     The sign exponent sums k_degree(a_i) * k_degree(b_j) over pairs i > j,
     i.e. over left factors passing right factors that sit in earlier slots.
     """
-    check_variant(variant)
     a_factors, a_z = a
     b_factors, b_z = b
     if len(a_factors) != len(b_factors):
@@ -71,7 +58,7 @@ def tensor_mult(
     exponent = 0
     k_before = 0  # k_degree(b_j) summed over j < i
     for x, y in zip(a_factors, b_factors):
-        prod = lambda_mult(p, x, y, variant)
+        prod = lambda_mult(p, x, y)
         if prod is None:
             return None
         factors.append(prod)
@@ -81,12 +68,9 @@ def tensor_mult(
     return SignedTensorMonomial(sign, TensorMonomial(tuple(factors), a_z + b_z))
 
 
-def weight(
-    p: int, m: TensorMonomial, variant: str = VARIANT_CORRECTED
-) -> tuple[int, ...]:
+def weight(p: int, m: TensorMonomial) -> tuple[int, ...]:
     """Weight vector (e_l(b1), e_l(b2)-e_r(b1), ..., z-e_r(bq)) of length q+1."""
-    check_variant(variant)
-    degrees = [bidegree(p, f, variant) for f in m.factors]
+    degrees = [bidegree(p, f) for f in m.factors]
     entries = [degrees[0].e_l]
     for prev, cur in zip(degrees, degrees[1:]):
         entries.append(cur.e_l - prev.e_r)
@@ -99,7 +83,7 @@ def embed(m: TensorMonomial) -> TensorMonomial:
     return TensorMonomial((lambda_unit(),) + m.factors, m.z)
 
 
-def _chains(p: int, q: int, variant: str) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:
+def _chains(p: int, q: int) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:
     """Every weight-zero chain (factors, z) at q factors, factor-wise canonical.
 
     Chains are built left to right: the first factor must have level 0,
@@ -109,7 +93,6 @@ def _chains(p: int, q: int, variant: str) -> Iterator[tuple[tuple[LambdaMonomial
     are held; the last factor is added as the chains are yielded.
     """
     require_prime(p)
-    check_variant(variant)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     levels: dict[int, list[tuple[LambdaMonomial, int]]] = {}
@@ -118,7 +101,7 @@ def _chains(p: int, q: int, variant: str) -> Iterator[tuple[tuple[LambdaMonomial
         """The elements of level ``need`` with their coupling degrees, built once."""
         items = levels.get(need)
         if items is None:
-            items = [(e, bidegree(p, e, variant).e_r) for e in level_elements(p, need, variant)]
+            items = [(e, bidegree(p, e).e_r) for e in level_elements(p, need)]
             assert all(r <= coupling_support_bound(p, need) for _, r in items)
             levels[need] = items
         return items
@@ -131,22 +114,18 @@ def _chains(p: int, q: int, variant: str) -> Iterator[tuple[tuple[LambdaMonomial
     return ((f + (e,), r) for f, need in chains for e, r in level(need))
 
 
-def enumerate_weight_zero(
-    p: int, q: int, variant: str = VARIANT_CORRECTED
-) -> list[TensorMonomial]:
+def enumerate_weight_zero(p: int, q: int) -> list[TensorMonomial]:
     """The complete weight-zero basis at q factors, ordered by z, then factor by factor."""
     by_z: dict[int, list[TensorMonomial]] = {}
     # the chains come factor-wise canonical, so grouping by z gives canonical order
-    for f, z in _chains(p, q, variant):
+    for f, z in _chains(p, q):
         by_z.setdefault(z, []).append(TensorMonomial(f, z))
     return [m for z in sorted(by_z) for m in by_z[z]]
 
 
-def random_weight_zero(
-    rng: random.Random, p: int, q: int, variant: str = VARIANT_CORRECTED
-) -> TensorMonomial:
+def random_weight_zero(rng: random.Random, p: int, q: int) -> TensorMonomial:
     """Sample one weight-zero tuple by random chain choices (not uniform)."""
-    omega = _omega_basis(p, check_variant(variant))
+    omega = _omega_basis(p)
     theta = _theta_basis(p)
     factors = []
     need = 0
@@ -155,24 +134,12 @@ def random_weight_zero(
         b = rng.choice(omega if n == 0 else theta)
         e = LambdaMonomial(b, n, need - n)
         factors.append(e)
-        need = bidegree(p, e, variant).e_r
+        need = bidegree(p, e).e_r
     return TensorMonomial(tuple(factors), need)
 
 
-def is_weight_zero_basis_element(
-    p: int, m: TensorMonomial, variant: str = VARIANT_CORRECTED
-) -> bool:
-    return all(is_valid(p, f, variant) for f in m.factors) and not any(
-        weight(p, m, variant)
-    )
-
-
-def yoneda_degree(p: int, m: TensorMonomial, variant: str = VARIANT_CORRECTED) -> int:
-    """The z exponent of a weight-zero tuple; rejects nonzero weight."""
-    w = weight(p, m, variant)
-    if any(w):
-        raise ValueError(f"yoneda_degree requires weight zero, got weight {w}")
-    return m.z
+def is_weight_zero_basis_element(p: int, m: TensorMonomial) -> bool:
+    return all(is_valid(p, f) for f in m.factors) and not any(weight(p, m))
 
 
 def vertex_tuples(p: int, m: TensorMonomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -194,15 +161,13 @@ def idempotent(vertices: tuple[int, ...]) -> TensorMonomial:
     )
 
 
-def ext_dim_table(
-    p: int, q: int, variant: str = VARIANT_CORRECTED
-) -> dict[tuple[tuple[int, ...], tuple[int, ...], int], int]:
+def ext_dim_table(p: int, q: int) -> dict[tuple[tuple[int, ...], tuple[int, ...], int], int]:
     """Count weight-zero elements by (left tuple, right tuple, Yoneda degree).
 
     The chains are counted as they are walked; the basis is never listed.
     """
     table: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-    for f, z in _chains(p, q, variant):
+    for f, z in _chains(p, q):
         left, right = vertex_tuples(p, TensorMonomial(f, z))
         key = (left, right, z)
         table[key] = table.get(key, 0) + 1

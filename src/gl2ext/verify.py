@@ -47,7 +47,6 @@ from .lambda_basis import (
     path_j_degree,
 )
 from .paths import (
-    VARIANT_CORRECTED,
     _omega_basis,
     _theta_basis,
     exact_sequence_defect,
@@ -171,9 +170,10 @@ def check_presentation_concordance(ps=(2, 3, 5)):
         if got != dict(want):
             problems.append(f"p={p}: oracle {got} != corrected {dict(want)}")
         if p in (2, 3):
-            printed = Counter()
-            for m in omega_basis(p, "printed"):
-                printed[(str(m.s), m.degree)] += 1
+            # the paper's printed strip, alpha <= p - 1 in place of target <= p
+            printed = Counter(
+                (str(s), a + b) for s in range(1, p + 1) for a in range(p) for b in range(s)
+            )
             if dict(printed) == got:
                 problems.append(f"p={p}: printed variant unexpectedly matches")
             else:
@@ -292,7 +292,7 @@ def check_calibration():
 def _random_lambda(rng: random.Random, p: int, nh_max: int) -> LambdaMonomial:
     n = rng.choice(range(nh_max + 1))
     h = rng.choice(range(nh_max + 1))
-    pool = _omega_basis(p, VARIANT_CORRECTED) if n == 0 else _theta_basis(p)
+    pool = _omega_basis(p) if n == 0 else _theta_basis(p)
     return LambdaMonomial(rng.choice(pool), n, h)
 
 

@@ -22,6 +22,11 @@ def M(s, a, b):
     return PathMonomial(s, a, b)
 
 
+def printed_in_omega(p, m):
+    """The paper's printed closed-strip rule: alpha <= p - 1 in place of target <= p."""
+    return m.alpha >= 0 and 0 <= m.beta <= m.s - 1 and 1 <= m.s <= p and m.alpha <= p - 1
+
+
 def test_pi_mult_examples():
     assert pi_mult(M(1, 1, 0), M(2, 1, 0)) == M(1, 2, 0)
     assert pi_mult(M(1, 1, 0), M(3, 1, 0)) is None
@@ -42,9 +47,7 @@ def test_in_omega_examples():
 def test_in_omega_printed_variant():
     # the printed rule admits classes whose target leaves the strip
     assert not in_omega(2, M(2, 1, 0))
-    assert in_omega(2, M(2, 1, 0), "printed")
-    with pytest.raises(ValueError):
-        in_omega(2, M(1, 0, 0), "bogus")
+    assert printed_in_omega(2, M(2, 1, 0))
 
 
 def test_in_theta_examples():
@@ -64,8 +67,6 @@ def test_restricted_mult_examples():
     assert restricted_mult(2, "omega", M(2, 0, 1), M(1, 1, 0)) == M(2, 1, 1)
     # (1,2,1) dips below vertex 1, so the product dies at p = 2
     assert restricted_mult(2, "omega", M(1, 1, 0), M(2, 1, 1)) is None
-    # under the printed rule the overflow product (1,2,0) dies on alpha
-    assert restricted_mult(2, "omega", M(1, 1, 0), M(2, 1, 0), "printed") is None
     assert restricted_mult(3, "theta", M(1, 1, 0), M(2, 0, 1)) is None
 
 
@@ -131,14 +132,17 @@ def test_exact_sequence_identity():
         exact_sequence_defect(3, 3)
 
 
+def printed_defect(p, l):
+    """``exact_sequence_defect`` with the closed-strip columns counted by the printed rule."""
+    box = [M(s, a, b) for s in range(1, p + 1) for a in range(p) for b in range(p)]
+    om = count_by_source([m for m in box if printed_in_omega(p, m)])
+    th = count_by_source(theta_basis(p))
+    return om.get(l, 0) - om.get(p, 0) + om.get(p - l, 0) - th.get(p - l, 0)
+
+
 def test_exact_sequence_identity_fails_for_printed_variant():
     # the printed membership breaks the four-term identity somewhere
-    broken = [
-        (p, l)
-        for p in (2, 3)
-        for l in range(1, p)
-        if exact_sequence_defect(p, l, "printed") != 0
-    ]
+    broken = [(p, l) for p in (2, 3) for l in range(1, p) if printed_defect(p, l) != 0]
     assert broken
 
 

@@ -8,7 +8,7 @@ intermediate path and sums the sign over all slot pairs; the kernels in
 import itertools
 
 from gl2ext.lambda_basis import LambdaMonomial, lambda_mult, level_elements
-from gl2ext.paths import VARIANTS, PathMonomial, pi_mult, sigma
+from gl2ext.paths import PathMonomial, pi_mult, sigma
 from gl2ext.tower import SignedTensorMonomial, TensorMonomial
 
 
@@ -18,7 +18,7 @@ def ref_pi_mult(a, b):
     return PathMonomial(a.s, a.alpha + b.alpha, a.beta + b.beta)
 
 
-def ref_in_strip(p, m, n, variant):
+def ref_in_strip(p, m, n):
     """Closed strip on 1..p when n == 0, open strip on 1..p-1 otherwise."""
     if m.alpha < 0 or m.beta < 0 or not 1 <= m.s or m.beta > m.s - 1:
         return False
@@ -26,22 +26,22 @@ def ref_in_strip(p, m, n, variant):
         return m.s <= p - 1 and m.alpha <= p - m.s - 1
     if m.s > p:
         return False
-    return m.alpha <= p - 1 if variant == "printed" else m.target <= p
+    return m.target <= p
 
 
-def ref_lambda_mult(p, x, y, variant):
+def ref_lambda_mult(p, x, y):
     right = y.b if x.n % 2 == 0 else sigma(p, y.b)
     path = ref_pi_mult(x.b, right)
-    if path is None or not ref_in_strip(p, path, x.n + y.n, variant):
+    if path is None or not ref_in_strip(p, path, x.n + y.n):
         return None
     return LambdaMonomial(path, x.n + y.n, x.h + y.h)
 
 
-def ref_tensor_mult(p, a, b, variant):
+def ref_tensor_mult(p, a, b):
     """Slot-wise products; the sign sums k(a_i) * k(b_j) over all pairs i > j."""
     factors = []
     for x, y in zip(a.factors, b.factors):
-        prod = ref_lambda_mult(p, x, y, variant)
+        prod = ref_lambda_mult(p, x, y)
         if prod is None:
             return None
         factors.append(prod)
@@ -51,9 +51,9 @@ def ref_tensor_mult(p, a, b, variant):
     return SignedTensorMonomial(-1 if exponent % 2 else 1, TensorMonomial(tuple(factors), a.z + b.z))
 
 
-def operands(p, variant):
+def operands(p):
     """The n, h <= 3 pool of the property suite plus operands outside both strips."""
-    pool = [e for lvl in range(7) for e in level_elements(p, lvl, variant) if e.n <= 3 and e.h <= 3]
+    pool = [e for lvl in range(7) for e in level_elements(p, lvl) if e.n <= 3 and e.h <= 3]
     edges = (-1, 0, p + 1)
     outside = [
         LambdaMonomial(PathMonomial(s, alpha, beta), n, 1)
@@ -70,11 +70,11 @@ def test_pi_mult_matches_reference():
 
 
 def test_lambda_mult_matches_reference_on_every_pool_pair():
-    for p, variant in itertools.product((2, 3, 5), VARIANTS):
-        pool = operands(p, variant)
+    for p in (2, 3, 5):
+        pool = operands(p)
         nonzero = 0
         for x, y in itertools.product(pool, repeat=2):
-            got = lambda_mult(p, x, y, variant)
-            assert got == ref_lambda_mult(p, x, y, variant), (p, variant, x, y)
+            got = lambda_mult(p, x, y)
+            assert got == ref_lambda_mult(p, x, y), (p, x, y)
             nonzero += got is not None
         assert nonzero  # the comparison is not vacuous

@@ -2,7 +2,6 @@
 
 import pytest
 
-from gl2ext.paths import VARIANTS
 from gl2ext.tower import TensorMonomial, tensor_mult
 from test_products import operands, ref_lambda_mult, ref_tensor_mult
 
@@ -19,22 +18,21 @@ def tensor_pairs(draw):
     every q.
     """
     p = draw(st.sampled_from((2, 3, 5)))
-    variant = draw(st.sampled_from(VARIANTS))
-    pool = operands(p, variant)
+    pool = operands(p)
     q = draw(st.integers(1, 3))
     anywhere = draw(st.integers(0, 2 * q))  # the slot drawn from the whole pool, if < q
     left, right = [], []
     for i in range(q):
         x = draw(st.sampled_from(pool))
-        live = [y for y in pool if ref_lambda_mult(p, x, y, variant) is not None]
+        live = [y for y in pool if ref_lambda_mult(p, x, y) is not None]
         left.append(x)
         right.append(draw(st.sampled_from(pool if i == anywhere or not live else live)))
     z = st.integers(0, 6)
-    return p, variant, TensorMonomial(tuple(left), draw(z)), TensorMonomial(tuple(right), draw(z))
+    return p, TensorMonomial(tuple(left), draw(z)), TensorMonomial(tuple(right), draw(z))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(tensor_pairs())
 def test_tensor_mult_matches_reference(case):
-    p, variant, a, b = case
-    assert tensor_mult(p, a, b, variant) == ref_tensor_mult(p, a, b, variant)
+    p, a, b = case
+    assert tensor_mult(p, a, b) == ref_tensor_mult(p, a, b)

@@ -109,10 +109,6 @@ def test_insufficient_bounds_errors():
     narrow = BigradedSeries(dims={(0, 0): 1}, j_bound=0, k_bound=4)
     with pytest.raises(InsufficientBoundsError):
         apply_operator(gamma, narrow, k_max=4)
-    truncated = lambda_series(2, i_max=1, j_max=1, k_max=4)
-    assert not truncated.j_complete
-    with pytest.raises(InsufficientBoundsError):
-        apply_operator(truncated, fz_series(), k_max=4)
     with pytest.raises(InsufficientBoundsError):
         apply_operator(f_series(), fz_series())  # unbounded rule needs k_max
     with pytest.raises(InsufficientBoundsError):
@@ -120,12 +116,8 @@ def test_insufficient_bounds_errors():
 
 
 def test_trigraded_series_drops_zero_entries():
-    s = TrigradedSeries({(0, 0, 0): 1, (1, 1, 1): 0}, 1, 1, 1)
+    s = TrigradedSeries({(0, 0, 0): 1, (1, 1, 1): 0}, 1, 1)
     assert (1, 1, 1) not in s.dims
-
-
-def test_printed_variant_changes_the_series():
-    assert lambda_q_series(3, 2, variant="printed") != lambda_q_series(3, 2)
 
 
 def test_a_degree_cap_above_the_top_degree_costs_nothing():
