@@ -349,10 +349,7 @@ def cmd_oracle_quotient(args, parser) -> int:
 
 def cmd_oracle_ext(args, parser) -> int:
     pres = _load_presentation(args, parser)
-    try:
-        report = oracle.ext_dims(pres, args.max_n)
-    except oracle.NonFiniteDimensionalError as exc:
-        parser.error(str(exc))
+    report = oracle.ext_dims(pres, args.max_n)
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
@@ -386,12 +383,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.run(args, parser)
+        try:
+            code = args.run(args, parser)
+        except oracle.WorkLimitError as exc:  # from either oracle subcommand
+            parser.error(str(exc))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # a usage error, in parsing or inside a command
         return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:
         # The reader stopped early (``| head``) and has what it read.  Send

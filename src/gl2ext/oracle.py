@@ -13,9 +13,9 @@ algebra.
 
 Rows are sparse dicts with one update, ``_add_scaled``, but for two loops
 that re-key as they add: relation rows in ``GradedQuotient._build`` and
-module vectors in ``ext_dims``.  The one work limit is
-``MAX_CANDIDATES_PER_BLOCK`` candidate words per block and degree.  The one
-stopping rule, ``_settled``, needs a largest-arrow-degree window of no words.
+module vectors in ``ext_dims``.  The build visits only the degrees that can
+hold a candidate word and ends when none is left, exactly when the quotient
+is finite.  One budget, ``MAX_WORK``, bounds each call: ``WorkLimitError``.
 
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
@@ -29,22 +29,19 @@ from typing import NamedTuple, Optional
 
 PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
 
-# The candidate words one (source, target) block may have at one degree.
-MAX_CANDIDATES_PER_BLOCK = 500_000
-# The degree to which ``ext_dims`` builds the quotient before it gives up.
-EXT_MAX_DEGREE = 64
+# The units of work one call may spend, counted once per block: candidates,
+# relation rows and the letters of each kept word in ``GradedQuotient``, then
+# cover elements and their image entries in ``ext_dims``.  Letters count since
+# words are stored whole: a loop's memory grows with the square of its degree.
+MAX_WORK = 20_000_000
 
 
 class UnknownPresentationError(ValueError):
     pass
 
 
-class PathBlowupError(RuntimeError):
-    """A block of candidate words exceeded ``MAX_CANDIDATES_PER_BLOCK``."""
-
-
-class NonFiniteDimensionalError(RuntimeError):
-    """The quotient did not stabilize within the degree cap."""
+class WorkLimitError(RuntimeError):
+    """A call spent more than ``MAX_WORK`` units: its quotient is infinite or too large."""
 
 
 class Arrow(NamedTuple):
@@ -135,9 +132,6 @@ class QuiverPresentation:
                     f"relation {rel} is not homogeneous in (source, target, degree)"
                 )
         return sig
-
-    def max_arrow_degree(self) -> int:
-        return max((a.deg for a in self.arrows), default=1)
 
     # -- serialization ------------------------------------------------------
 
@@ -464,7 +458,7 @@ class GradedBasisReport(NamedTuple):
     dims: dict  # (src, tgt, deg) -> int, zero blocks omitted
     basis_paths: Optional[dict]  # (src, tgt, deg) -> list of path tuples
     zero_degrees: list  # degrees <= max_degree at which every block vanishes
-    stabilized: bool  # a full window of zero degrees was observed
+    stabilized: bool  # no word of the report has an arrow leading past max_degree
 
     def dims_by_source_degree(self) -> dict:
         out: dict = {}
@@ -516,10 +510,10 @@ def quotient_basis(
     if source is not None and source not in pres.vertices:
         raise ValueError(f"unknown source vertex {source!r}")
     quo = GradedQuotient(pres, max_degree=max_degree)
+    column = [idx for idx, src in enumerate(quo.src) if source is None or src == source]
     blocks: dict = {}
-    for idx, src in enumerate(quo.src):
-        if source is None or src == source:
-            blocks.setdefault((src, quo.tgt[idx], quo.deg[idx]), []).append(quo.rep[idx])
+    for idx in column:
+        blocks.setdefault((quo.src[idx], quo.tgt[idx], quo.deg[idx]), []).append(quo.rep[idx])
     dims = {block: len(words) for block, words in sorted(blocks.items())}
     basis_paths = (
         {block: sorted(words) for block, words in sorted(blocks.items())}
@@ -529,18 +523,14 @@ def quotient_basis(
     live = {deg for _, _, deg in dims}
     zero_degrees = [d for d in range(1, max_degree + 1) if d not in live]
     # not quo.stabilized: a column (``source``) can stabilize before the quotient
-    stabilized = _settled(pres, max(live, default=0), max_degree)
+    out = quo.out_degrees
+    stabilized = all(quo.deg[i] + e <= max_degree for i in column for e in out[quo.tgt[i]])
     return GradedBasisReport(
         pres.name, max_degree, dims, basis_paths, zero_degrees, stabilized
     )
 
 
 # -- the quotient engine ------------------------------------------------------
-
-
-def _settled(pres: QuiverPresentation, top: int, degree: int) -> bool:
-    """No word can appear past ``degree`` when the highest kept one is at ``top``."""
-    return top + pres.max_arrow_degree() <= degree
 
 
 class GradedQuotient:
@@ -552,12 +542,16 @@ class GradedQuotient:
     new basis together with the right-multiplication action of arrows.
     The basis words ``rep`` are Groebner-style normal words: no candidate
     that is a pivot of the relation span survives.  This is the one
-    engine behind ``quotient_basis`` and ``ext_dims``.  A block with more
-    than ``MAX_CANDIDATES_PER_BLOCK`` candidates at one degree raises
-    ``PathBlowupError``.
+    engine behind ``quotient_basis`` and ``ext_dims``.
+
+    Once degree d is built, every word of degree <= d is final, so the build
+    jumps to the least deg w + deg a over the kept words w and the arrows a
+    out of their targets: a degree with no candidate has no relation row
+    either.  It stops past ``max_degree`` (None: at the end); ``stabilized``
+    says that no degree is left, so the quotient is finite and built whole.
     """
 
-    def __init__(self, pres: QuiverPresentation, max_degree: int):
+    def __init__(self, pres: QuiverPresentation, max_degree: Optional[int] = None):
         self.pres = pres
         self.src: list[str] = []
         self.tgt: list[str] = []
@@ -567,8 +561,18 @@ class GradedQuotient:
         self.parent: list[Optional[int]] = []
         self.by_deg_tgt: dict = {}
         self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: int or Fraction}
-        self.stabilized = False
+        self.out_degrees = {v: {a.deg for a in pres.arrows if a.src == v} for v in pres.vertices}
+        self.work = 0  # units spent against MAX_WORK
         self._build(max_degree)
+
+    def spend(self, units: int, where: str) -> None:
+        """Add ``units`` to the work of this call; past ``MAX_WORK``, raise."""
+        self.work += units
+        if self.work > MAX_WORK:
+            raise WorkLimitError(
+                f"{where} spends {units} units of work, past the limit of "
+                f"{MAX_WORK} (oracle.MAX_WORK): the quotient is infinite or too large"
+            )
 
     def _add_element(self, src, tgt, deg, rep, parent=None) -> int:
         idx = len(self.src)
@@ -588,29 +592,27 @@ class GradedQuotient:
             vec = out
         return vec
 
-    def _build(self, max_degree: int) -> None:
+    def _build(self, max_degree: Optional[int]) -> None:
         pres = self.pres
         relations = [
             (sig, [(_exact(c), path) for c, path in rel])
             for sig, rel in zip(pres.signatures, pres.relations)
         ]
+        reach: set = set()  # the degrees deg w + deg a not yet built
         for v in pres.vertices:
             self._add_element(v, v, 0, ())
-        top = 0  # the degree of the highest word kept so far
-        for d in range(1, max_degree + 1):
+            reach |= self.out_degrees[v]
+        while reach:
+            d = min(reach)
+            if max_degree is not None and d > max_degree:
+                break
+            reach.remove(d)
             # candidates (basis element, final arrow), grouped per block
             cands: dict = {}
             for a in pres.arrows:
                 for idx in self.by_deg_tgt.get((d - a.deg, a.src), []):
                     block = (self.src[idx], a.tgt)
                     cands.setdefault(block, []).append((idx, a.name))
-            for block, cand_list in cands.items():
-                if len(cand_list) > MAX_CANDIDATES_PER_BLOCK:
-                    raise PathBlowupError(
-                        f"block {block} at degree {d} has {len(cand_list)} "
-                        f"candidates, over the cap of {MAX_CANDIDATES_PER_BLOCK}"
-                    )
-                cand_list.sort()
             rows_by_block: dict = {}
             for (rsrc, rtgt, rdeg), rel in relations:
                 for idx in self.by_deg_tgt.get((d - rdeg, rsrc), []):
@@ -629,25 +631,28 @@ class GradedQuotient:
                         block = (self.src[idx], rtgt)
                         rows_by_block.setdefault(block, []).append(row)
             for block, cand_list in sorted(cands.items()):
+                cand_list.sort()
+                rows = rows_by_block.get(block, [])
                 piv: dict = {}
-                for row in rows_by_block.get(block, []):
+                for row in rows:
                     reduce_row(piv, row)
                 reduced = _fully_reduce(piv)
                 # candidates ascend, so a pivot row's other keys already have ids
                 id_of: dict = {}
+                letters = 0
                 for cand in cand_list:
                     if cand in reduced:
                         self.rmul[cand] = {id_of[k]: -c for k, c in reduced[cand].items() if k != cand}
                     else:
                         bidx, arrow = cand
-                        id_of[cand] = self._add_element(
-                            block[0], block[1], d, self.rep[bidx] + (arrow,), bidx
-                        )
+                        word = self.rep[bidx] + (arrow,)
+                        id_of[cand] = self._add_element(block[0], block[1], d, word, bidx)
                         self.rmul[cand] = {id_of[cand]: 1}
-                        top = d
-            if _settled(pres, top, d):
-                self.stabilized = True
-                break
+                        letters += len(word)
+                if id_of:
+                    reach |= {d + e for e in self.out_degrees[block[1]]}
+                self.spend(len(cand_list) + len(rows) + letters, f"block {block!r} at degree {d}")
+        self.stabilized = not reach
 
 
 class ExtReport(NamedTuple):
@@ -709,8 +714,8 @@ def _nullspace(rows: list[tuple]) -> list[dict]:
 def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     """Ext dimensions between the simple modules of the quotient algebra.
 
-    Builds the finite quotient structure first (raising when it does not
-    stabilize), then iterates minimal projective covers of syzygies; the
+    Builds the whole quotient first, then iterates minimal projective
+    covers of syzygies, spending on from the quotient's work; the
     multiplicity of the projective at w in stage n is dim Ext^n(L_v, L_w).
     ``complete[v]`` distinguishes a terminated resolution from max_n
     running out.
@@ -723,11 +728,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     lower pieces already span it, no elimination over the piece is needed,
     and the last stage is decided by counting alone.
     """
-    quo = GradedQuotient(pres, max_degree=EXT_MAX_DEGREE)
-    if not quo.stabilized:
-        raise NonFiniteDimensionalError(
-            f"{pres.name!r} did not stabilize below degree {EXT_MAX_DEGREE}"
-        )
+    quo = GradedQuotient(pres)
     rmul = quo.rmul
     arrows_into: dict = {v: [] for v in pres.vertices}
     for a in pres.arrows:
@@ -823,4 +824,6 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             complete[v] = cover_dim == sum(image_dims.values())
             if n < max_n and not complete[v]:
                 rows = cover_rows(top)
+                entries = sum(1 + len(img) for piece in rows.values() for _, img in piece)
+                quo.spend(entries, f"vertex {v!r} at stage {n}")
     return ExtReport(pres.name, max_n, dims, complete)

@@ -240,6 +240,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         ("hilbert", "--p", "2", "--q", "1", "--max-degree", "-1"),
         ("oracle", "ext", "--name", "C", "--p", "2", "--max-n", "-1"),
         ("oracle", "ext", "--presentation", "{free_loop}", "--max-n", "2"),
+        ("oracle", "quotient-dims", "--presentation", "{free_loop}", "--max-degree", "1000000"),
         ("multiply", "--p", "2", "{bad_factor}", "{unit}"),
         ("multiply", "--p", "2", "{unit}", "{negative_z}"),
         ("multiply", "--p", "2", "{unit}", "{float_z}"),
@@ -286,6 +287,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         "hilbert-negative",
         "negative-max-n",
         "ext-does-not-stabilize",
+        "quotient-does-not-stabilize",
         "multiply-invalid-factor",
         "multiply-negative-z",
         "multiply-float-z",
@@ -385,6 +387,21 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+def test_a_long_arrow_ends_a_finite_quotient(tmp_path, capsys):
+    # one arrow 1 -> 2 of degree 40: the quotient ends at degree 40
+    path = tmp_path / "long_arrow.json"
+    arrow = {"name": "a", "src": "1", "tgt": "2", "deg": 40}
+    path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [arrow], "relations": []}))
+    code, out, err = run(capsys, "oracle", "ext", "--presentation", str(path), "--max-n", "3")
+    assert (code, err) == (0, "")
+    ext = json.loads(out)
+    assert {"from": "1", "to": "2", "n": 1, "dim": 1} in ext["dims"]
+    assert ext["complete"] == {"1": True, "2": True}
+    for max_degree, stabilized in (("39", False), ("40", True), ("45", True)):
+        code, out, _ = run(capsys, "oracle", "quotient-dims", "--presentation", str(path), "--max-degree", max_degree)
+        assert (code, json.loads(out)["stabilized"]) == (0, stabilized)
 
 
 def test_vertex_filters_are_checked_before_any_enumeration(capsys, monkeypatch):

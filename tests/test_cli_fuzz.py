@@ -24,8 +24,9 @@ def presentations(draw):
     """Small presentation JSON, sometimes invalid on purpose.
 
     The quiver is acyclic apart from at most one loop, so its quotient has
-    polynomially many words per degree and ``oracle ext`` stays cheap even
-    when the quotient never stabilizes.  Most relations are homogeneous
+    polynomially many words per degree.  ``oracle ext`` builds an infinite
+    quotient until it spends ``oracle.MAX_WORK``, which with so few words per
+    degree takes well under a second.  Most relations are homogeneous
     combinations of composable paths; a few are junk.  Arrow names are one
     letter, so a path spelled as one string iterates to the same names.
     """

@@ -7,10 +7,9 @@ import pytest
 from gl2ext import oracle
 from gl2ext.oracle import (
     GradedQuotient,
-    NonFiniteDimensionalError,
-    PathBlowupError,
     QuiverPresentation,
     UnknownPresentationError,
+    WorkLimitError,
     _fully_reduce,
     builtin_presentation,
     ext_dims,
@@ -163,15 +162,33 @@ def test_basis_paths_are_reported():
 
 
 def test_blowup_guard(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_CANDIDATES_PER_BLOCK", 5)
-    with pytest.raises(PathBlowupError):
+    monkeypatch.setattr(oracle, "MAX_WORK", 1000)
+    with pytest.raises(WorkLimitError):
         quotient_basis(builtin_presentation("Y2_P3"), 8)
 
 
 def test_blowup_message_names_block_degree_and_size(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_CANDIDATES_PER_BLOCK", 5)
-    with pytest.raises(PathBlowupError, match=r"block \(.*\) at degree \d+ has \d+ candidates"):
+    monkeypatch.setattr(oracle, "MAX_WORK", 1000)
+    with pytest.raises(WorkLimitError, match=r"^block \('.*', '.*'\) at degree \d+ spends \d+ units"):
         GradedQuotient(builtin_presentation("Y2_P3"), max_degree=8)
+
+
+def test_work_counts_candidates_rows_and_letters_per_call():
+    # a free loop keeps one word per degree: one candidate and d letters at degree d
+    loop = QuiverPresentation("loop", ["1"], [("t", "1", "1", 1)], [])
+    assert GradedQuotient(loop, max_degree=10).work == sum(1 + d for d in range(1, 11))
+    # with t^3 = 0, degree 3 has one candidate, one row and no word, and ends the build
+    cube = QuiverPresentation("cube", ["1"], [("t", "1", "1", 1)], [[(ONE, ("t", "t", "t"))]])
+    for _ in range(2):  # each call counts from zero
+        quo = GradedQuotient(cube)
+        assert (quo.work, quo.stabilized) == (2 + 3 + 2, True)
+
+
+def test_ext_stops_at_the_budget_naming_vertex_and_stage(monkeypatch):
+    # the quotient spends 3,408 units and the resolution to n = 6 about 41,000
+    monkeypatch.setattr(oracle, "MAX_WORK", 50_000)
+    with pytest.raises(WorkLimitError, match=r"^vertex '\d,\d' at stage \d+ spends \d+ units"):
+        ext_dims(builtin_presentation("Y2_P3_COMPLETED"), 1000)
 
 
 def test_a_column_reports_its_own_stabilization():
@@ -274,10 +291,37 @@ def test_ext_semisimple_vanishes():
 
 
 def test_ext_rejects_nonfinite():
-    # one loop, no relations: the path algebra is infinite dimensional
+    # one loop, no relations: the path algebra is infinite dimensional, and
+    # the words' letters use up the budget at degree 6,324
     pres = QuiverPresentation("free-loop", ["1"], [("t", "1", "1", 1)], [])
-    with pytest.raises(NonFiniteDimensionalError):
+    with pytest.raises(WorkLimitError, match=r"^block \('1', '1'\) at degree 6324 "):
         ext_dims(pres, 2)
+
+
+def test_skipped_degrees_match_direct_elimination():
+    # arrow degrees 1 to 19 and relations, so most degrees hold no candidate
+    pres = QuiverPresentation(
+        "far-apart",
+        ["1", "2", "3"],
+        [("a", "1", "2", 1), ("e", "2", "2", 7), ("b", "2", "3", 11),
+         ("c", "1", "3", 12), ("f", "1", "3", 19), ("d", "3", "1", 2)],
+        [
+            [(ONE, ("a", "b")), (-ONE, ("c",))],
+            [(ONE, ("a", "e", "b")), (-ONE, ("f",))],
+            [(ONE, ("b", "d", "a")), (-ONE, ("e", "e"))],
+            [(ONE, ("d", "c", "d"))],
+        ],
+    )
+    direct = _free_path_dims(pres, 55)
+    assert sorted({d for _, _, d in direct}) == [0, 1, 2, 3, 7, 8, 10, 11, 12, 13, 14, 15,
+                                                 18, 19, 20, 21, 22, 23, 25, 26, 32, 33]
+    for degree in range(56):
+        rep = quotient_basis(pres, degree)
+        assert rep.dims == {k: n for k, n in direct.items() if k[2] <= degree}, degree
+        # the word d f d of degree 23 ends at 1, where f of degree 19 leaves
+        assert rep.stabilized == (degree >= 42), degree
+    quo = GradedQuotient(pres)
+    assert quo.stabilized and max(quo.deg) == 33
 
 
 def test_engine_matches_direct_elimination():
