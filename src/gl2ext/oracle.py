@@ -11,11 +11,11 @@ presentations used for cross-validation, and an Ext computation by
 iterated minimal projective covers over the (finite-dimensional) quotient
 algebra.
 
-Rows are sparse dicts with one update, ``_add_scaled``, but for two loops
-that re-key as they add: relation rows in ``GradedQuotient._build`` and
-module vectors in ``ext_dims``.  The build visits only the degrees that can
-hold a candidate word and ends when none is left, exactly when the quotient
-is finite.  One budget, ``MAX_WORK``, bounds each call: ``WorkLimitError``.
+Rows are sparse dicts with one update, ``_add_scaled``, but for the loop
+in ``ext_dims`` that re-keys module vectors as it adds.  The build visits
+only the degrees that can hold a candidate word and ends when none is left,
+exactly when the quotient is finite.  One budget, ``MAX_WORK``, spent
+before what it counts is built, bounds each call: ``WorkLimitError``.
 
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
@@ -24,15 +24,16 @@ Path convention, fixed everywhere including emitted files:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
 
-# The units of work one call may spend, counted once per block: candidates,
-# relation rows and the letters of each kept word in ``GradedQuotient``, then
-# cover elements and their image entries in ``ext_dims``.  Letters count since
-# words are stored whole: a loop's memory grows with the square of its degree.
+# The units of work one call may spend: in ``GradedQuotient`` 32 per candidate
+# and one per relation row before a degree is built, then one per letter of
+# its new words; in ``ext_dims`` one per element and entry of each image and
+# eliminated row.  A letter holds 8 bytes, a candidate 250 to 500 bytes.
 MAX_WORK = 20_000_000
 
 
@@ -565,14 +566,21 @@ class GradedQuotient:
         self.work = 0  # units spent against MAX_WORK
         self._build(max_degree)
 
-    def spend(self, units: int, where: str) -> None:
-        """Add ``units`` to the work of this call; past ``MAX_WORK``, raise."""
+    def spend(self, units: int, where, *args) -> None:
+        """Add ``units`` to this call's work; past ``MAX_WORK``, raise, naming ``where(*args)``."""
         self.work += units
         if self.work > MAX_WORK:
             raise WorkLimitError(
-                f"{where} spends {units} units of work, past the limit of "
-                f"{MAX_WORK} (oracle.MAX_WORK): the quotient is infinite or too large"
+                f"{where(*args)}: {units} units take the call to {self.work}, past the limit of "
+                f"{MAX_WORK} (oracle.MAX_WORK), so the quotient is infinite or the call too large"
             )
+
+    def _largest_block(self, d: int, size: int) -> str:
+        """Degree d, its candidates and its largest block, for a ``WorkLimitError``."""
+        arrows, by = self.pres.arrows, self.by_deg_tgt
+        blocks = Counter((self.src[i], a.tgt) for a in arrows for i in by.get((d - a.deg, a.src), ()))
+        ((block, most),) = blocks.most_common(1)
+        return f"degree {d} has {size} candidates, {most} of them in block {block!r}"
 
     def _add_element(self, src, tgt, deg, rep, parent=None) -> int:
         idx = len(self.src)
@@ -607,34 +615,27 @@ class GradedQuotient:
             if max_degree is not None and d > max_degree:
                 break
             reach.remove(d)
+            size = sum(len(self.by_deg_tgt.get((d - a.deg, a.src), ())) for a in pres.arrows)
+            rows = sum(len(self.by_deg_tgt.get((d - r[0][2], r[0][0]), ())) for r in relations)
+            self.spend(32 * size + rows, self._largest_block, d, size)
             # candidates (basis element, final arrow), grouped per block
             cands: dict = {}
             for a in pres.arrows:
                 for idx in self.by_deg_tgt.get((d - a.deg, a.src), []):
-                    block = (self.src[idx], a.tgt)
-                    cands.setdefault(block, []).append((idx, a.name))
+                    cands.setdefault((self.src[idx], a.tgt), []).append((idx, a.name))
             rows_by_block: dict = {}
             for (rsrc, rtgt, rdeg), rel in relations:
                 for idx in self.by_deg_tgt.get((d - rdeg, rsrc), []):
                     row: dict = {}
                     for coeff, path in rel:
                         vec = self.mul_vector_by_path({idx: 1}, path[:-1])
-                        last = path[-1]
-                        for jdx, c in vec.items():
-                            key = (jdx, last)
-                            val = row.get(key, 0) + coeff * c
-                            if val:
-                                row[key] = val
-                            else:
-                                row.pop(key, None)
+                        _add_scaled(row, coeff, {(jdx, path[-1]): c for jdx, c in vec.items()})
                     if row:
-                        block = (self.src[idx], rtgt)
-                        rows_by_block.setdefault(block, []).append(row)
+                        rows_by_block.setdefault((self.src[idx], rtgt), []).append(row)
             for block, cand_list in sorted(cands.items()):
                 cand_list.sort()
-                rows = rows_by_block.get(block, [])
                 piv: dict = {}
-                for row in rows:
+                for row in rows_by_block.get(block, ()):
                     reduce_row(piv, row)
                 reduced = _fully_reduce(piv)
                 # candidates ascend, so a pivot row's other keys already have ids
@@ -651,7 +652,7 @@ class GradedQuotient:
                         letters += len(word)
                 if id_of:
                     reach |= {d + e for e in self.out_degrees[block[1]]}
-                self.spend(len(cand_list) + len(rows) + letters, f"block {block!r} at degree {d}")
+                self.spend(letters, lambda: f"block {block!r} at degree {d}, in its new words")
         self.stabilized = not reach
 
 
@@ -751,24 +752,21 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
                     out.pop(key, None)
         return out
 
-    def cover_rows(top):
+    def cover_rows(top, at):
         """Per piece, each basis element of the cover of ``top`` with its image."""
         rows: dict = {}
         for copy, (w, shift, gvec) in enumerate(top):
             img_of: dict = {}
             for bidx in ids_from[w]:
                 parent = quo.parent[bidx]
-                img = (
-                    gvec
-                    if parent is None
-                    else module_mul_arrow(img_of[parent], quo.rep[bidx][-1])
-                )
+                img = gvec if parent is None else module_mul_arrow(img_of[parent], quo.rep[bidx][-1])
                 img_of[bidx] = img
                 piece = (shift + quo.deg[bidx], quo.tgt[bidx])
                 rows.setdefault(piece, []).append(((copy, bidx), img))
+            quo.spend(sum(1 + len(img) for img in img_of.values()), lambda: at)
         return rows
 
-    def kernel_and_top(rows, image_dims):
+    def kernel_and_top(rows, image_dims, at):
         """Basis of the kernel per piece, and generators of the kernel.
 
         ``image_dims[piece]`` is the dimension of the image in that piece.
@@ -789,12 +787,16 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             )
             piv: dict = {}
             basis = []
+            units = 0
             for img in radical:
                 if len(basis) == want:
                     break
+                units += 1 + len(img)
                 if img and reduce_row(piv, img) is not None:
                     basis.append(img)
+            quo.spend(units, lambda: at)
             if len(basis) < want:
+                quo.spend(sum(1 + len(row) for _, row in rows[piece]), lambda: at)
                 for vec in _nullspace(rows[piece]):
                     if reduce_row(piv, vec) is not None:
                         basis.append(vec)
@@ -814,7 +816,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
         complete[v] = not rows
         n = 0
         while n < max_n and not complete[v]:
-            kernel, top = kernel_and_top(rows, image_dims)
+            kernel, top = kernel_and_top(rows, image_dims, f"vertex {v!r} at stage {n + 1}")
             n += 1
             for w, _, _ in top:
                 dims[(v, w, n)] = dims.get((v, w, n), 0) + 1
@@ -823,7 +825,5 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             cover_dim = sum(len(ids_from[w]) for w, _, _ in top)
             complete[v] = cover_dim == sum(image_dims.values())
             if n < max_n and not complete[v]:
-                rows = cover_rows(top)
-                entries = sum(1 + len(img) for piece in rows.values() for _, img in piece)
-                quo.spend(entries, f"vertex {v!r} at stage {n}")
+                rows = cover_rows(top, f"vertex {v!r} at stage {n}")
     return ExtReport(pres.name, max_n, dims, complete)

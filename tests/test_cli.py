@@ -241,6 +241,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         ("oracle", "ext", "--name", "C", "--p", "2", "--max-n", "-1"),
         ("oracle", "ext", "--presentation", "{free_loop}", "--max-n", "2"),
         ("oracle", "quotient-dims", "--presentation", "{free_loop}", "--max-degree", "1000000"),
+        ("oracle", "quotient-dims", "--presentation", "{ten_loops}", "--max-degree", "7"),
         ("multiply", "--p", "2", "{bad_factor}", "{unit}"),
         ("multiply", "--p", "2", "{unit}", "{negative_z}"),
         ("multiply", "--p", "2", "{unit}", "{float_z}"),
@@ -288,6 +289,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         "negative-max-n",
         "ext-does-not-stabilize",
         "quotient-does-not-stabilize",
+        "ten-loops-refused-before-building",
         "multiply-invalid-factor",
         "multiply-negative-z",
         "multiply-float-z",
@@ -361,6 +363,11 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         "free_loop": {  # one loop, no relations: the quotient never stabilizes
             "vertices": ["a"],
             "arrows": [{"name": "x", "src": "a", "tgt": "a", "deg": 1}],
+            "relations": [],
+        },
+        "ten_loops": {  # 10^d words at degree d: degree 6 is refused before it is built
+            "vertices": ["a"],
+            "arrows": [{"name": f"x{i}", "src": "a", "tgt": "a", "deg": 1} for i in range(10)],
             "relations": [],
         },
     }

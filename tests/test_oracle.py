@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -169,25 +170,44 @@ def test_blowup_guard(monkeypatch):
 
 def test_blowup_message_names_block_degree_and_size(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_WORK", 1000)
-    with pytest.raises(WorkLimitError, match=r"^block \('.*', '.*'\) at degree \d+ spends \d+ units"):
+    with pytest.raises(
+        WorkLimitError,
+        match=r"^degree \d+ has \d+ candidates, \d+ of them in block \('.*', '.*'\): "
+        r"\d+ units take the call to \d+, past the limit of 1000 ",
+    ):
         GradedQuotient(builtin_presentation("Y2_P3"), max_degree=8)
 
 
+def test_a_degree_is_spent_before_its_candidates_are_built(monkeypatch):
+    # 300 loops: degree 2 has 90,000 candidates, 2.88 M units, refused before
+    # any is built; building them would take about 6 MB
+    monkeypatch.setattr(oracle, "MAX_WORK", 1_000_000)
+    loops = QuiverPresentation("loops", ["1"], [(f"t{i}", "1", "1", 1) for i in range(300)], [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkLimitError, match=r"^degree 2 has 90000 candidates, 90000 of them"):
+            GradedQuotient(loops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_work_counts_candidates_rows_and_letters_per_call():
-    # a free loop keeps one word per degree: one candidate and d letters at degree d
+    # a free loop keeps one word per degree: one candidate (32) and d letters at degree d
     loop = QuiverPresentation("loop", ["1"], [("t", "1", "1", 1)], [])
-    assert GradedQuotient(loop, max_degree=10).work == sum(1 + d for d in range(1, 11))
+    assert GradedQuotient(loop, max_degree=10).work == sum(32 + d for d in range(1, 11))
     # with t^3 = 0, degree 3 has one candidate, one row and no word, and ends the build
     cube = QuiverPresentation("cube", ["1"], [("t", "1", "1", 1)], [[(ONE, ("t", "t", "t"))]])
     for _ in range(2):  # each call counts from zero
         quo = GradedQuotient(cube)
-        assert (quo.work, quo.stabilized) == (2 + 3 + 2, True)
+        assert (quo.work, quo.stabilized) == ((32 + 1) + (32 + 2) + (32 + 1), True)
 
 
 def test_ext_stops_at_the_budget_naming_vertex_and_stage(monkeypatch):
-    # the quotient spends 3,408 units and the resolution to n = 6 about 41,000
-    monkeypatch.setattr(oracle, "MAX_WORK", 50_000)
-    with pytest.raises(WorkLimitError, match=r"^vertex '\d,\d' at stage \d+ spends \d+ units"):
+    # the quotient spends 36,403 units and the resolution to n = 6 about 115,000
+    monkeypatch.setattr(oracle, "MAX_WORK", 100_000)
+    with pytest.raises(WorkLimitError, match=r"^vertex '\d,\d' at stage \d+: \d+ units take the call to \d+"):
         ext_dims(builtin_presentation("Y2_P3_COMPLETED"), 1000)
 
 
@@ -292,9 +312,9 @@ def test_ext_semisimple_vanishes():
 
 def test_ext_rejects_nonfinite():
     # one loop, no relations: the path algebra is infinite dimensional, and
-    # the words' letters use up the budget at degree 6,324
+    # the words' letters use up the budget at degree 6,293
     pres = QuiverPresentation("free-loop", ["1"], [("t", "1", "1", 1)], [])
-    with pytest.raises(WorkLimitError, match=r"^block \('1', '1'\) at degree 6324 "):
+    with pytest.raises(WorkLimitError, match=r"^block \('1', '1'\) at degree 6293, in its new words: 6293 "):
         ext_dims(pres, 2)
 
 
