@@ -385,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         try:
             code = args.run(args, parser)
-        except oracle.WorkLimitError as exc:  # from either oracle subcommand
+        except (oracle.WorkLimitError, tower.WalkLimitError) as exc:  # a work limit
             parser.error(str(exc))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except SystemExit as exc:  # a usage error, in parsing or inside a command

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple, Optional
 
-from .paths import PathMonomial, _omega_basis, _theta_basis, require_prime
+from .paths import _omega_basis, _theta_basis, require_prime
 from .lambda_basis import (
     LambdaMonomial,
     bidegree,
@@ -28,6 +28,14 @@ from .lambda_basis import (
     level_elements,
 )
 from .series import coupling_support_bound
+
+# The most chains the walk may hold or yield at one factor.  The bases at
+# (2, 6) and (3, 4) hold under 0.9 M; those at (2, 7) and (3, 5) are past it.
+MAX_CHAINS = 4_000_000
+
+
+class WalkLimitError(RuntimeError):
+    """A factor of the walk would make more than ``MAX_CHAINS`` chains."""
 
 
 class TensorMonomial(NamedTuple):
@@ -89,8 +97,8 @@ def _chains(p: int, q: int) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:
     Chains are built left to right: the first factor must have level 0,
     each next level equals the previous coupling degree, and z closes the
     chain.  Levels obey d(1) = 0, d(i+1) <= p*d(i) + 2p - 2, so the walk is
-    finite without any external cutoff.  Only the chains one factor short
-    are held; the last factor is added as the chains are yielded.
+    finite, and ``MAX_CHAINS`` bounds its size.  Only the chains one factor
+    short are held; the last factor is added as the chains are yielded.
     """
     require_prime(p)
     if q < 1:
@@ -106,12 +114,22 @@ def _chains(p: int, q: int) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:
             levels[need] = items
         return items
 
+    def extend(chains, factor: int):
+        """The chains with one more factor, counted before any is built."""
+        count = sum(len(level(need)) for _, need in chains)
+        if count > MAX_CHAINS:
+            raise WalkLimitError(
+                f"(p, q) = ({p}, {q}): factor {factor} makes {count} chains, "
+                f"past the limit of {MAX_CHAINS}"
+            )
+        return ((f + (e,), r) for f, need in chains for e, r in level(need))
+
     # Extending canonically ordered chains in canonical level order keeps
     # them factor-wise canonical.
     chains: list[tuple[tuple[LambdaMonomial, ...], int]] = [((), 0)]
-    for _ in range(q - 1):
-        chains = [(f + (e,), r) for f, need in chains for e, r in level(need)]
-    return ((f + (e,), r) for f, need in chains for e, r in level(need))
+    for factor in range(1, q):
+        chains = list(extend(chains, factor))
+    return extend(chains, q)
 
 
 def enumerate_weight_zero(p: int, q: int) -> list[TensorMonomial]:
@@ -153,12 +171,6 @@ def vertex_tuples(p: int, m: TensorMonomial) -> tuple[tuple[int, ...], tuple[int
         f.b.target if f.n % 2 == 0 else p - f.b.target for f in m.factors
     )
     return left, right
-
-
-def idempotent(vertices: tuple[int, ...]) -> TensorMonomial:
-    return TensorMonomial(
-        tuple(LambdaMonomial(PathMonomial(v, 0, 0), 0, 0) for v in vertices), 0
-    )
 
 
 def ext_dim_table(p: int, q: int) -> dict[tuple[tuple[int, ...], tuple[int, ...], int], int]:

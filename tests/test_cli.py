@@ -278,6 +278,8 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         ("oracle", "ext", "--presentation", "{newline_name}", "--max-n", "2"),
         ("oracle", "ext", "--presentation", "{newline_endpoint}", "--max-n", "2"),
         ("oracle", "ext", "--presentation", "{line}", "--p", "5", "--max-n", "2"),
+        ("basis", "--p", "2", "--q", "8"),
+        ("ext-table", "--p", "2", "--q", "8"),
     ],
     ids=[
         "negative-max-degree",
@@ -325,6 +327,8 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         "newline-in-presentation-name",
         "newline-in-arrow-name",
         "p-with-presentation",
+        "basis-past-the-walk-limit",
+        "ext-table-past-the-walk-limit",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):

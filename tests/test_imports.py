@@ -27,6 +27,12 @@ def test_the_oracle_loads_no_model_module():
     assert _loaded_after("gl2ext.oracle") == {"gl2ext", "gl2ext.oracle"}
 
 
+def test_the_model_loads_no_oracle_module():
+    # the oracle is an independent route: nothing in the model, its walk
+    # limit included, may come from it
+    assert "gl2ext.oracle" not in _loaded_after("gl2ext.tower")
+
+
 def test_the_cli_loads_every_layer_module():
     # the traced benchmark (Tracer.install in bench/spans.py) looks each layer
     # module up in sys.modules after importing gl2ext.cli; a layer imported

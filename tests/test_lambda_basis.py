@@ -1,5 +1,4 @@
 import itertools
-import random
 
 from gl2ext.lambda_basis import (
     BiDegree,
@@ -12,7 +11,7 @@ from gl2ext.lambda_basis import (
     level_elements,
     path_j_degree,
 )
-from gl2ext.paths import PathMonomial, omega_basis, restricted_mult, theta_basis
+from gl2ext.paths import PathMonomial, omega_basis, restricted_mult
 
 
 def L(s, a, b, n, h):
@@ -68,68 +67,16 @@ def test_path_j_degree_examples():
     assert path_j_degree(3, lambda_unit()) == 0
 
 
-def _small_pool(p, nh_max=1, levels=3):
-    return [
-        e
-        for lvl in range(levels)
-        for e in level_elements(p, lvl)
-        if e.n <= nh_max and e.h <= nh_max
-    ]
-
-
-def test_membership_closure_exhaustive():
-    for p in (2, 3, 5):
-        pool = [
-            e
-            for lvl in range(7)
-            for e in level_elements(p, lvl)
-            if e.n <= 3 and e.h <= 3
-        ]
-        for x, y in itertools.product(pool, repeat=2):
-            prod = lambda_mult(p, x, y)
-            if prod is not None:
-                assert is_valid(p, prod)
-
-
-def test_grading_additivity_on_nonzero_products():
-    for p in (2, 3):
-        pool = _small_pool(p, nh_max=2, levels=5)
-        for x, y in itertools.product(pool, repeat=2):
-            prod = lambda_mult(p, x, y)
-            if prod is None:
-                continue
-            bx, by, bp = bidegree(p, x), bidegree(p, y), bidegree(p, prod)
-            assert (bx.e_l + by.e_l, bx.e_r + by.e_r) == tuple(bp)
-            assert k_degree(p, x) + k_degree(p, y) == k_degree(p, prod)
-            assert path_j_degree(p, x) + path_j_degree(p, y) == path_j_degree(p, prod)
-
-
 def test_associativity_exhaustive_small():
+    # exhaustive on a small pool; verify's property suite draws at random
     for p in (2, 3):
-        pool = _small_pool(p)
+        pool = [e for lvl in range(3) for e in level_elements(p, lvl) if e.n <= 1 and e.h <= 1]
         for x, y, z in itertools.product(pool, repeat=3):
             xy = lambda_mult(p, x, y)
             yz = lambda_mult(p, y, z)
             left = lambda_mult(p, xy, z) if xy is not None else None
             right = lambda_mult(p, x, yz) if yz is not None else None
             assert left == right
-
-
-def test_associativity_randomized_p5():
-    rng = random.Random(5)
-    omega, theta = omega_basis(5), theta_basis(5)
-
-    def pick():
-        n, h = rng.randint(0, 3), rng.randint(0, 3)
-        return LambdaMonomial(rng.choice(omega if n == 0 else theta), n, h)
-
-    for _ in range(4000):
-        x, y, z = pick(), pick(), pick()
-        xy = lambda_mult(5, x, y)
-        yz = lambda_mult(5, y, z)
-        left = lambda_mult(5, xy, z) if xy is not None else None
-        right = lambda_mult(5, x, yz) if yz is not None else None
-        assert left == right
 
 
 def test_level_zero_slice_is_omega_with_restricted_mult():

@@ -1,5 +1,4 @@
 import time
-from collections import Counter
 
 import pytest
 
@@ -14,7 +13,7 @@ from gl2ext.series import (
     lambda_q_series,
     lambda_series,
 )
-from gl2ext.tower import enumerate_weight_zero
+from gl2ext.verify import check_series_vs_enumeration
 
 
 def test_lambda_series_level_zero_slice_p2():
@@ -83,14 +82,9 @@ def test_lambda_q_series_examples():
 
 
 def test_lambda_q_series_matches_enumeration():
-    for p, q in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        got = lambda_q_series(p, q)
-        want = dict(Counter(m.z for m in enumerate_weight_zero(p, q)))
-        assert got == want
-
-
-def test_lambda_q_series_total_consistency():
-    assert sum(lambda_q_series(3, 2).values()) == len(enumerate_weight_zero(3, 2))
+    # verify runs the pairs with p <= 3, q <= 2; this adds (2, 3)
+    check = check_series_vs_enumeration(pairs=((2, 3),))
+    assert check.ok, check.detail
 
 
 def test_monotone_stability_under_bigger_bounds():
