@@ -30,10 +30,11 @@ from typing import NamedTuple, Optional
 
 PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
 
-# The units of work one call may spend: in ``GradedQuotient`` 32 per candidate
-# and one per relation row before a degree is built, then one per letter of
-# its new words; in ``ext_dims`` one per element and entry of each image and
-# eliminated row.  A letter holds 8 bytes, a candidate 250 to 500 bytes.
+# The units of work one call may spend: in ``GradedQuotient`` 32 per candidate,
+# 32 per degree (its lists and blocks) and one per relation row before a degree
+# is built; in ``quotient_basis`` 4 per listed zero degree; in ``ext_dims`` one
+# per element and entry of each image and eliminated row.  A candidate holds
+# 250 to 500 bytes, so a unit holds 8 to 16.
 MAX_WORK = 20_000_000
 
 
@@ -514,14 +515,17 @@ def quotient_basis(
     column = [idx for idx, src in enumerate(quo.src) if source is None or src == source]
     blocks: dict = {}
     for idx in column:
-        blocks.setdefault((quo.src[idx], quo.tgt[idx], quo.deg[idx]), []).append(quo.rep[idx])
-    dims = {block: len(words) for block, words in sorted(blocks.items())}
+        blocks.setdefault((quo.src[idx], quo.tgt[idx], quo.deg[idx]), []).append(idx)
+    dims = {block: len(ids) for block, ids in sorted(blocks.items())}
     basis_paths = (
-        {block: sorted(words) for block, words in sorted(blocks.items())}
+        {block: sorted(map(quo.word, ids)) for block, ids in sorted(blocks.items())}
         if with_paths
         else None
     )
     live = {deg for _, _, deg in dims}
+    zeros = max_degree - len(live - {0})
+    # a listed degree holds about 36 bytes: a list slot and an int
+    quo.spend(4 * zeros, lambda: f"the report lists {zeros} zero degrees up to degree {max_degree}")
     zero_degrees = [d for d in range(1, max_degree + 1) if d not in live]
     # not quo.stabilized: a column (``source``) can stabilize before the quotient
     out = quo.out_degrees
@@ -541,9 +545,11 @@ class GradedQuotient:
     the previous basis, relation instances are rewritten through already
     constructed degrees, and a full reduced echelon per block yields the
     new basis together with the right-multiplication action of arrows.
-    The basis words ``rep`` are Groebner-style normal words: no candidate
-    that is a pivot of the relation span survives.  This is the one
-    engine behind ``quotient_basis`` and ``ext_dims``.
+    The basis words are Groebner-style normal words: no candidate that is
+    a pivot of the relation span survives.  They are closed under prefixes,
+    so each is stored once, as its ``parent`` word and its ``last`` arrow,
+    and ``word`` spells it out.  This is the one engine behind
+    ``quotient_basis`` and ``ext_dims``.
 
     Once degree d is built, every word of degree <= d is final, so the build
     jumps to the least deg w + deg a over the kept words w and the arrows a
@@ -557,8 +563,8 @@ class GradedQuotient:
         self.src: list[str] = []
         self.tgt: list[str] = []
         self.deg: list[int] = []
-        self.rep: list[tuple[str, ...]] = []
-        # id of the word that rep[i] extends by its last arrow (None at degree 0)
+        # word i is word parent[i] followed by arrow last[i] (both None at degree 0)
+        self.last: list[Optional[str]] = []
         self.parent: list[Optional[int]] = []
         self.by_deg_tgt: dict = {}
         self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: int or Fraction}
@@ -582,15 +588,23 @@ class GradedQuotient:
         ((block, most),) = blocks.most_common(1)
         return f"degree {d} has {size} candidates, {most} of them in block {block!r}"
 
-    def _add_element(self, src, tgt, deg, rep, parent=None) -> int:
+    def _add_element(self, src, tgt, deg, last=None, parent=None) -> int:
         idx = len(self.src)
         self.src.append(src)
         self.tgt.append(tgt)
         self.deg.append(deg)
-        self.rep.append(rep)
+        self.last.append(last)
         self.parent.append(parent)
         self.by_deg_tgt.setdefault((deg, tgt), []).append(idx)
         return idx
+
+    def word(self, idx: int) -> tuple[str, ...]:
+        """The normal word of basis element ``idx``, its arrows in order."""
+        arrows = []
+        while self.parent[idx] is not None:
+            arrows.append(self.last[idx])
+            idx = self.parent[idx]
+        return tuple(reversed(arrows))
 
     def mul_vector_by_path(self, vec: dict, path: tuple[str, ...]) -> dict:
         for arrow in path:
@@ -608,7 +622,7 @@ class GradedQuotient:
         ]
         reach: set = set()  # the degrees deg w + deg a not yet built
         for v in pres.vertices:
-            self._add_element(v, v, 0, ())
+            self._add_element(v, v, 0)
             reach |= self.out_degrees[v]
         while reach:
             d = min(reach)
@@ -617,7 +631,7 @@ class GradedQuotient:
             reach.remove(d)
             size = sum(len(self.by_deg_tgt.get((d - a.deg, a.src), ())) for a in pres.arrows)
             rows = sum(len(self.by_deg_tgt.get((d - r[0][2], r[0][0]), ())) for r in relations)
-            self.spend(32 * size + rows, self._largest_block, d, size)
+            self.spend(32 * (size + 1) + rows, self._largest_block, d, size)
             # candidates (basis element, final arrow), grouped per block
             cands: dict = {}
             for a in pres.arrows:
@@ -640,19 +654,15 @@ class GradedQuotient:
                 reduced = _fully_reduce(piv)
                 # candidates ascend, so a pivot row's other keys already have ids
                 id_of: dict = {}
-                letters = 0
                 for cand in cand_list:
                     if cand in reduced:
                         self.rmul[cand] = {id_of[k]: -c for k, c in reduced[cand].items() if k != cand}
                     else:
                         bidx, arrow = cand
-                        word = self.rep[bidx] + (arrow,)
-                        id_of[cand] = self._add_element(block[0], block[1], d, word, bidx)
+                        id_of[cand] = self._add_element(block[0], block[1], d, arrow, bidx)
                         self.rmul[cand] = {id_of[cand]: 1}
-                        letters += len(word)
                 if id_of:
                     reach |= {d + e for e in self.out_degrees[block[1]]}
-                self.spend(letters, lambda: f"block {block!r} at degree {d}, in its new words")
         self.stabilized = not reach
 
 
@@ -759,7 +769,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             img_of: dict = {}
             for bidx in ids_from[w]:
                 parent = quo.parent[bidx]
-                img = gvec if parent is None else module_mul_arrow(img_of[parent], quo.rep[bidx][-1])
+                img = gvec if parent is None else module_mul_arrow(img_of[parent], quo.last[bidx])
                 img_of[bidx] = img
                 piece = (shift + quo.deg[bidx], quo.tgt[bidx])
                 rows.setdefault(piece, []).append(((copy, bidx), img))

@@ -242,6 +242,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         ("oracle", "ext", "--presentation", "{free_loop}", "--max-n", "2"),
         ("oracle", "quotient-dims", "--presentation", "{free_loop}", "--max-degree", "1000000"),
         ("oracle", "quotient-dims", "--presentation", "{ten_loops}", "--max-degree", "7"),
+        ("oracle", "quotient-dims", "--name", "C", "--p", "2", "--max-degree", "1000000000"),
         ("multiply", "--p", "2", "{bad_factor}", "{unit}"),
         ("multiply", "--p", "2", "{unit}", "{negative_z}"),
         ("multiply", "--p", "2", "{unit}", "{float_z}"),
@@ -292,6 +293,7 @@ def test_a_decimal_string_coefficient_is_its_exact_value(tmp_path, capsys):
         "ext-does-not-stabilize",
         "quotient-does-not-stabilize",
         "ten-loops-refused-before-building",
+        "zero-degrees-refused-before-listing",
         "multiply-invalid-factor",
         "multiply-negative-z",
         "multiply-float-z",

@@ -179,19 +179,40 @@ def test_a_degree_is_spent_before_its_candidates_are_built(monkeypatch):
     assert peak < 1_000_000
 
 
-def test_work_counts_candidates_rows_and_letters_per_call():
-    # a free loop keeps one word per degree: one candidate (32) and d letters at degree d
+def test_work_counts_candidates_and_rows_per_degree():
+    # a free loop keeps one word per degree: one candidate (32) and the degree (32)
     loop = QuiverPresentation("loop", ["1"], [("t", "1", "1", 1)], [])
-    assert GradedQuotient(loop, max_degree=10).work == sum(32 + d for d in range(1, 11))
+    assert GradedQuotient(loop, max_degree=10).work == 10 * 64
     # with t^3 = 0, degree 3 has one candidate, one row and no word, and ends the build
     cube = QuiverPresentation("cube", ["1"], [("t", "1", "1", 1)], [[(ONE, ("t", "t", "t"))]])
     for _ in range(2):  # each call counts from zero
         quo = GradedQuotient(cube)
-        assert (quo.work, quo.stabilized) == ((32 + 1) + (32 + 2) + (32 + 1), True)
+        assert (quo.work, quo.stabilized) == (64 + 64 + 65, True)
+
+
+def test_words_take_memory_linear_in_their_degree():
+    # a free loop to degree 3000 keeps 3000 words of 1 to 3000 arrows;
+    # stored whole they would hold 4.5 M arrows
+    loop = QuiverPresentation("loop", ["1"], [("t", "1", "1", 1)], [])
+    tracemalloc.start()
+    try:
+        quo = GradedQuotient(loop, max_degree=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quo.word(len(quo.src) - 1) == ("t",) * 3000
+    assert peak < 4_000_000
+
+
+def test_the_zero_degree_list_is_spent_before_it_is_built(monkeypatch):
+    # C(2) ends at degree 2 and spends 258 units; listing 4,998 zero degrees would take 19,992
+    monkeypatch.setattr(oracle, "MAX_WORK", 1000)
+    with pytest.raises(WorkLimitError, match=r"^the report lists 4998 zero degrees up to degree 5000: 19992 "):
+        quotient_basis(builtin_presentation("C", 2), 5000)
 
 
 def test_ext_stops_at_the_budget_naming_vertex_and_stage(monkeypatch):
-    # the quotient spends 36,403 units and the resolution to n = 6 about 115,000
+    # the quotient spends 36,135 units and the resolution to n = 6 about 115,000
     monkeypatch.setattr(oracle, "MAX_WORK", 100_000)
     with pytest.raises(WorkLimitError, match=r"^vertex '\d,\d' at stage \d+: \d+ units take the call to \d+"):
         ext_dims(builtin_presentation("Y2_P3_COMPLETED"), 1000)
@@ -291,9 +312,9 @@ def test_ext_semisimple_vanishes():
 
 def test_ext_rejects_nonfinite():
     # one loop, no relations: the path algebra is infinite dimensional, and
-    # the words' letters use up the budget at degree 6,293
+    # 64 units a degree use up the budget at degree 312,501
     pres = QuiverPresentation("free-loop", ["1"], [("t", "1", "1", 1)], [])
-    with pytest.raises(WorkLimitError, match=r"^block \('1', '1'\) at degree 6293, in its new words: 6293 "):
+    with pytest.raises(WorkLimitError, match=r"^degree 312501 has 1 candidates, 1 of them in block \('1', '1'\): 64 "):
         ext_dims(pres, 2)
 
 
@@ -413,7 +434,7 @@ def test_engine_multiplication_is_associative():
         ids = list(range(len(quo.src)))
 
         def mul(vec, idx):
-            return quo.mul_vector_by_path(vec, quo.rep[idx])
+            return quo.mul_vector_by_path(vec, quo.word(idx))
 
         def combine(vec, idx_mul):
             out = {}
@@ -504,14 +525,15 @@ def test_back_substitution_clears_every_other_pivot():
 def test_normal_words_extend_their_parent_by_one_arrow():
     for pres in [*_builtins(), _rational_presentation()]:
         quo = GradedQuotient(pres, max_degree=40)
-        for i, word in enumerate(quo.rep):
+        for i, last in enumerate(quo.last):
             if quo.deg[i] == 0:
-                assert quo.parent[i] is None
+                assert (quo.parent[i], last, quo.word(i)) == (None, None, ())
                 continue
             parent = quo.parent[i]
             assert parent < i
-            assert word == quo.rep[parent] + (word[-1],)
-            arrow = pres.arrow_by_name[word[-1]]
+            assert quo.word(i) == quo.word(parent) + (last,)
+            arrow = pres.arrow_by_name[last]
+            assert (arrow.src, arrow.tgt) == (quo.tgt[parent], quo.tgt[i])
             assert quo.deg[i] == quo.deg[parent] + arrow.deg
 
 
