@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from . import oracle, series, tower, verify
@@ -79,6 +79,28 @@ def _emit_json(payload) -> None:
     """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
     for batch in _batches(chain(_JSON.iterencode(payload), ("\n",))):
         sys.stdout.write("".join(batch))
+
+
+def _emit_json_list(key: str, items: Iterable, rest: dict) -> None:
+    """Write what ``_emit_json({key: list(items), **rest})`` writes, never listing the items.
+
+    ``key`` sorts before the keys of ``rest``, so the list comes first, and
+    its items are encoded one at a time.  An item two levels down is its own
+    encoding with four more spaces after each newline: an encoded string
+    holds no raw newline.
+    """
+    assert all(key < other for other in rest)
+    head, tail = _JSON.encode({key: [], **rest}).split("[]", 1)
+    sys.stdout.write(head + "[")
+    pieces = chain.from_iterable(
+        chain((sep,), _JSON.iterencode(item))
+        for sep, item in zip(chain(("\n",), repeat(",\n")), items)
+    )
+    empty = True
+    for batch in _batches(pieces):
+        empty = False
+        sys.stdout.write("".join(batch).replace("\n", "\n    "))
+    sys.stdout.write(("]" if empty else "\n  ]") + tail + "\n")
 
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -234,7 +256,7 @@ def cmd_basis(args, parser) -> int:
         if _kept(left, right, *tower.vertex_tuples(args.p, m))
     )
     if args.format == "json":  # the header keeps its fixed rules field; earlier readers check it
-        _emit_json({"p": args.p, "q": args.q, "variant": "corrected", "basis": list(records)})
+        _emit_json_list("basis", records, {"p": args.p, "q": args.q, "variant": "corrected"})
     else:
         _emit_csv(
             ["factors", "z", "yoneda", "left", "right"],

@@ -11,8 +11,9 @@ presentations used for cross-validation, and an Ext computation by
 iterated minimal projective covers over the (finite-dimensional) quotient
 algebra.
 
-Rows are sparse dicts with one update, ``_add_scaled``, but for the loop
-in ``ext_dims`` that re-keys module vectors as it adds.  The build visits
+Rows are sparse dicts with one update, ``_add_scaled`` (but for the loop
+in ``ext_dims`` that re-keys module vectors as it adds), and one
+elimination, ``reduce_row``.  The build visits
 only the degrees that can hold a candidate word and ends when none is left,
 exactly when the quotient is finite.  One budget, ``MAX_WORK``, spent
 before what it counts is built, bounds each call: ``WorkLimitError``.
@@ -436,22 +437,6 @@ def reduce_row(pivots: dict, row: Row) -> Optional[object]:
     return None
 
 
-def _fully_reduce(pivots: dict) -> dict:
-    """Back-substitute an echelon set so every row touches no other pivot.
-
-    Leads go in ascending order, so each row already reduced touches no
-    pivot but its own; subtracting ``row[key] * reduced[key]`` cancels
-    ``key`` (pivot coefficients are 1), and one pass over the keys is enough.
-    """
-    reduced: dict = {}
-    for lead in sorted(pivots):
-        row = dict(pivots[lead])
-        for key in [key for key in row if key in reduced]:
-            _add_scaled(row, -row[key], reduced[key])
-        reduced[lead] = {key: _exact(c) for key, c in row.items()}
-    return reduced
-
-
 class GradedBasisReport(NamedTuple):
     """Per-(source, target, degree) dimensions of a graded quotient."""
 
@@ -543,8 +528,9 @@ class GradedQuotient:
 
     Built degree by degree: candidates are one-arrow right extensions of
     the previous basis, relation instances are rewritten through already
-    constructed degrees, and a full reduced echelon per block yields the
-    new basis together with the right-multiplication action of arrows.
+    constructed degrees, and an echelon form per block yields the new
+    basis, the candidates that lead no pivot row, and the right action of
+    the arrows: a pivot candidate is minus the rest of its row.
     The basis words are Groebner-style normal words: no candidate that is
     a pivot of the relation span survives.  They are closed under prefixes,
     so each is stored once, as its ``parent`` word and its ``last`` arrow,
@@ -651,17 +637,20 @@ class GradedQuotient:
                 piv: dict = {}
                 for row in rows_by_block.get(block, ()):
                     reduce_row(piv, row)
-                reduced = _fully_reduce(piv)
-                # candidates ascend, so a pivot row's other keys already have ids
-                id_of: dict = {}
+                words = len(self.src)
+                # a pivot row's other keys are smaller candidates, so their action is final
                 for cand in cand_list:
-                    if cand in reduced:
-                        self.rmul[cand] = {id_of[k]: -c for k, c in reduced[cand].items() if k != cand}
-                    else:
+                    row = piv.get(cand)
+                    if row is None:
                         bidx, arrow = cand
-                        id_of[cand] = self._add_element(block[0], block[1], d, arrow, bidx)
-                        self.rmul[cand] = {id_of[cand]: 1}
-                if id_of:
+                        self.rmul[cand] = {self._add_element(block[0], block[1], d, arrow, bidx): 1}
+                        continue
+                    act: dict = {}
+                    for key, c in row.items():
+                        if key != cand:
+                            _add_scaled(act, -c, self.rmul[key])
+                    self.rmul[cand] = {idx: _exact(c) for idx, c in act.items()}
+                if len(self.src) > words:
                     reach |= {d + e for e in self.out_degrees[block[1]]}
         self.stabilized = not reach
 
@@ -692,36 +681,6 @@ class ExtReport(NamedTuple):
         }
 
 
-def _nullspace(rows: list[tuple]) -> list[dict]:
-    """Kernel combinations of keyed rows ``(key, vector)`` over arbitrary hashable keys.
-
-    Returns coefficients over the row keys for each kernel basis vector,
-    by eliminating each row together with its combination of keys; pivots
-    are taken on the row part only.
-    """
-    pivots: dict = {}  # lead key -> (row part, combination), lead coefficient 1
-    kernel: list[dict] = []
-    for key, row in rows:
-        work = {c: v for c, v in row.items() if v}
-        combo = {key: 1}
-        while work:
-            lead = max(work)
-            if lead not in pivots:
-                inv = work[lead]
-                pivots[lead] = (
-                    {k: _div(v, inv) for k, v in work.items()},
-                    {k: _div(v, inv) for k, v in combo.items()},
-                )
-                break
-            coeff = work[lead]
-            prow, pcombo = pivots[lead]
-            _add_scaled(work, -coeff, prow)
-            _add_scaled(combo, -coeff, pcombo)
-        else:
-            kernel.append({k: _exact(v) for k, v in combo.items()})
-    return kernel
-
-
 def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     """Ext dimensions between the simple modules of the quotient algebra.
 
@@ -738,6 +697,13 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     piece of its kernel has a known dimension: when the arrow images of the
     lower pieces already span it, no elimination over the piece is needed,
     and the last stage is decided by counting alone.
+
+    Cover copies are numbered downward: the simple's cover is copy 0 and
+    each later cover takes the next lower numbers, so the keys of the module
+    resolved sort below those of its image.  A piece eliminates its radical,
+    then each row as its image plus its own key; ``reduce_row`` leads with
+    the largest key, so a row led by an own key has no image left: it is a
+    kernel vector outside the span so far, a new generator.
     """
     quo = GradedQuotient(pres)
     rmul = quo.rmul
@@ -762,10 +728,10 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
                     out.pop(key, None)
         return out
 
-    def cover_rows(top, at):
-        """Per piece, each basis element of the cover of ``top`` with its image."""
+    def cover_rows(top, low, at):
+        """Per piece, each element of the cover of ``top`` (copies below ``low``) with its image."""
         rows: dict = {}
-        for copy, (w, shift, gvec) in enumerate(top):
+        for copy, (w, shift, gvec) in enumerate(top, low - len(top)):
             img_of: dict = {}
             for bidx in ids_from[w]:
                 parent = quo.parent[bidx]
@@ -807,10 +773,15 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             quo.spend(units, lambda: at)
             if len(basis) < want:
                 quo.spend(sum(1 + len(row) for _, row in rows[piece]), lambda: at)
-                for vec in _nullspace(rows[piece]):
-                    if reduce_row(piv, vec) is not None:
-                        basis.append(vec)
-                        top.append((w, d, vec))
+                own = {key for key, _ in rows[piece]}
+                for key, img in rows[piece]:
+                    if len(basis) == want:
+                        break
+                    # an own key leads only once no image key is left: a new kernel vector
+                    lead = reduce_row(piv, {**img, key: 1})
+                    if lead in own:
+                        basis.append(piv[lead])
+                        top.append((w, d, piv[lead]))
             assert len(basis) == want, (piece, len(basis), want)
             kernel[piece] = basis
         return kernel, top
@@ -824,7 +795,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
                 rows.setdefault((quo.deg[bidx], quo.tgt[bidx]), []).append(((0, bidx), {}))
         image_dims: dict = {}
         complete[v] = not rows
-        n = 0
+        n = low = 0
         while n < max_n and not complete[v]:
             kernel, top = kernel_and_top(rows, image_dims, f"vertex {v!r} at stage {n + 1}")
             n += 1
@@ -835,5 +806,6 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             cover_dim = sum(len(ids_from[w]) for w, _, _ in top)
             complete[v] = cover_dim == sum(image_dims.values())
             if n < max_n and not complete[v]:
-                rows = cover_rows(top, f"vertex {v!r} at stage {n}")
+                rows = cover_rows(top, low, f"vertex {v!r} at stage {n}")
+                low -= len(top)
     return ExtReport(pres.name, max_n, dims, complete)

@@ -11,7 +11,6 @@ from gl2ext.oracle import (
     QuiverPresentation,
     UnknownPresentationError,
     WorkLimitError,
-    _fully_reduce,
     builtin_presentation,
     ext_dims,
     quotient_basis,
@@ -514,12 +513,6 @@ def test_reduce_row_divides_exactly():
     assert reduce_row(pivots, {"a": 2, "d": 3}) == "d"
     assert pivots["d"] == {"a": Fraction(2, 3), "d": 1}
     assert type(pivots["d"]["a"]) is Fraction
-
-
-def test_back_substitution_clears_every_other_pivot():
-    # d's row touches both earlier pivots; a is no pivot and collects both
-    pivots = {"b": {"a": 1, "b": 1}, "c": {"a": 2, "c": 1}, "d": {"b": 1, "c": 1, "d": 1}}
-    assert _fully_reduce(pivots) == {"b": {"a": 1, "b": 1}, "c": {"a": 2, "c": 1}, "d": {"a": -3, "d": 1}}
 
 
 def test_normal_words_extend_their_parent_by_one_arrow():
