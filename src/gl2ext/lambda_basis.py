@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .paths import (
-    PathMonomial,
-    _in_omega,
-    _in_theta,
-    _omega_basis,
-    _theta_basis,
-    in_omega,
-    in_theta,
-)
+from .paths import PathMonomial, in_omega, in_theta, omega_basis, theta_basis
 
 
 class LambdaMonomial(NamedTuple):
@@ -51,8 +43,8 @@ def is_valid(p: int, e: LambdaMonomial) -> bool:
     if n < 0 or h < 0:
         return False
     if n == 0:
-        return in_omega(p, b)
-    return in_theta(p, b)
+        return in_omega(p, *b)
+    return in_theta(p, *b)
 
 
 def lambda_mult(p: int, x: LambdaMonomial, y: LambdaMonomial) -> Optional[LambdaMonomial]:
@@ -71,9 +63,9 @@ def lambda_mult(p: int, x: LambdaMonomial, y: LambdaMonomial) -> Optional[Lambda
     beta += y_beta
     n = x_n + y_n
     if n == 0:
-        if not _in_omega(p, s, alpha, beta):
+        if not in_omega(p, s, alpha, beta):
             return None
-    elif not _in_theta(p, s, alpha, beta):
+    elif not in_theta(p, s, alpha, beta):
         return None
     return LambdaMonomial(PathMonomial(s, alpha, beta), n, x_h + y_h)
 
@@ -82,6 +74,11 @@ def bidegree(p: int, e: LambdaMonomial) -> BiDegree:
     """Bidegree (e_l, e_r) = (n + h, p*h + |b| + n); the coupling degree counts n."""
     (_, alpha, beta), n, h = e
     return BiDegree(n + h, p * h + alpha + beta + n)
+
+
+def coupling_support_bound(p: int, i: int) -> int:
+    """Finite per-level bound p*i + 2p - 2 on the coupling degree j."""
+    return p * i + 2 * p - 2
 
 
 def k_degree(p: int, e: LambdaMonomial) -> int:
@@ -99,8 +96,8 @@ def level_elements(p: int, level: int) -> Iterator[LambdaMonomial]:
     """All layer elements with e_l = n + h equal to ``level``, ordered by (n, h, s, alpha, beta)."""
     if level < 0:
         return iter(())
-    omega = _omega_basis(p)
-    theta = _theta_basis(p)
+    omega = omega_basis(p)
+    theta = theta_basis(p)
     return (
         LambdaMonomial(b, n, level - n)
         for n in range(level + 1)

@@ -58,27 +58,18 @@ def pi_mult(a: PathMonomial, b: PathMonomial) -> Optional[PathMonomial]:
     return PathMonomial(s, alpha + b_alpha, beta + b_beta)
 
 
-def in_omega(p: int, m: PathMonomial) -> bool:
+def in_omega(p: int, s: int, alpha: int, beta: int) -> bool:
     """Membership in the closed strip: source and target in 1..p, beta <= s - 1.
 
     The paper's printed rule bounds alpha by p - 1 instead; ``verify`` refutes it.
     """
-    return _in_omega(p, *m)
-
-
-def in_theta(p: int, m: PathMonomial) -> bool:
-    """Membership in the open-strip basis on vertices 1..p-1."""
-    return _in_theta(p, *m)
-
-
-# The membership rules on unpacked fields, shared with the layer product.
-def _in_omega(p: int, s: int, alpha: int, beta: int) -> bool:
     if alpha < 0 or beta < 0:
         return False
     return 1 <= s <= p and beta <= s - 1 and s + alpha - beta <= p
 
 
-def _in_theta(p: int, s: int, alpha: int, beta: int) -> bool:
+def in_theta(p: int, s: int, alpha: int, beta: int) -> bool:
+    """Membership in the open-strip basis on vertices 1..p-1."""
     if alpha < 0 or beta < 0:
         return False
     return 1 <= s <= p - 1 and alpha <= p - s - 1 and beta <= s - 1
@@ -92,66 +83,19 @@ def sigma(p: int, m: PathMonomial) -> PathMonomial:
     return PathMonomial(p - m.s, m.beta, m.alpha)
 
 
-def restricted_mult(p: int, basis: str, a: PathMonomial, b: PathMonomial) -> Optional[PathMonomial]:
-    """Product inside the tagged basis; None when the product leaves it."""
-    if basis == "omega":
-        member = lambda m: in_omega(p, m)
-    elif basis == "theta":
-        member = lambda m: in_theta(p, m)
-    else:
-        raise ValueError(f"basis must be 'omega' or 'theta', got {basis!r}")
-    if not member(a) or not member(b):
-        raise ValueError(f"restricted_mult: {a} or {b} is not in the {basis} basis")
-    prod = pi_mult(a, b)
-    if prod is None or not member(prod):
-        return None
-    return prod
-
-
-def omega_basis(p: int) -> list[PathMonomial]:
-    """All closed-strip classes, in lexicographic (s, alpha, beta) order."""
-    return list(_omega_basis(p))
-
-
-def theta_basis(p: int) -> list[PathMonomial]:
-    """All open-strip classes, in lexicographic (s, alpha, beta) order."""
-    return list(_theta_basis(p))
-
-
-# Built once per p by filtering, in lexicographic order, the box
-# s in 1..p, alpha and beta below p, which holds both strips; the public
-# functions hand out fresh lists.
+# Both strips lie in the box s in 1..p, alpha and beta below p, so each
+# basis filters it, in lexicographic order, once per p.
 def _box(p: int):
     return (PathMonomial(s, a, b) for s in range(1, p + 1) for a in range(p) for b in range(p))
 
 
 @lru_cache(maxsize=64)
-def _omega_basis(p: int) -> tuple[PathMonomial, ...]:
-    return tuple(m for m in _box(p) if _in_omega(p, *m))
+def omega_basis(p: int) -> tuple[PathMonomial, ...]:
+    """All closed-strip classes, in lexicographic (s, alpha, beta) order."""
+    return tuple(m for m in _box(p) if in_omega(p, *m))
 
 
 @lru_cache(maxsize=64)
-def _theta_basis(p: int) -> tuple[PathMonomial, ...]:
-    return tuple(m for m in _box(p) if _in_theta(p, *m))
-
-
-def count_by_source(basis: list[PathMonomial]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for m in basis:
-        counts[m.s] = counts.get(m.s, 0) + 1
-    return counts
-
-
-def exact_sequence_defect(p: int, l: int) -> int:
-    """Alternating sum of source-column sizes from the four-term splice.
-
-    For 1 <= l <= p-1 the closed-strip columns at l, p and p-l and the
-    open-strip column at p-l fit in an exact sequence, so the alternating
-    sum of their dimensions vanishes.  Returns that sum (0 when the
-    identity holds).
-    """
-    if not (1 <= l <= p - 1):
-        raise ValueError(f"need 1 <= l <= p-1, got l={l}")
-    om = count_by_source(omega_basis(p))
-    th = count_by_source(theta_basis(p))
-    return om.get(l, 0) - om.get(p, 0) + om.get(p - l, 0) - th.get(p - l, 0)
+def theta_basis(p: int) -> tuple[PathMonomial, ...]:
+    """All open-strip classes, in lexicographic (s, alpha, beta) order."""
+    return tuple(m for m in _box(p) if in_theta(p, *m))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .paths import require_prime
-from .lambda_basis import bidegree, k_degree, level_elements
+from .lambda_basis import bidegree, coupling_support_bound, k_degree, level_elements
 
 
 class InsufficientBoundsError(ValueError):
@@ -91,11 +91,6 @@ class TrigradedSeries:
 def f_series() -> TrigradedSeries:
     """The ground field as a series: a point mass at (0, 0, 0), complete everywhere."""
     return TrigradedSeries({(0, 0, 0): 1}, i_max=None, k_max=None)
-
-
-def coupling_support_bound(p: int, i: int) -> int:
-    """Finite per-level bound p*i + 2p - 2 on the coupling degree j."""
-    return p * i + 2 * p - 2
 
 
 def lambda_series(p: int, i_max: int, k_max: int = 0) -> TrigradedSeries:

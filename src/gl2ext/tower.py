@@ -17,17 +17,17 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple, Optional
 
-from .paths import _omega_basis, _theta_basis, require_prime
+from .paths import omega_basis, require_prime, theta_basis
 from .lambda_basis import (
     LambdaMonomial,
     bidegree,
+    coupling_support_bound,
     is_valid,
     k_degree,
     lambda_mult,
     lambda_unit,
     level_elements,
 )
-from .series import coupling_support_bound
 
 # The most chains the walk may hold or yield at one factor.  The bases at
 # (2, 6) and (3, 4) hold under 0.9 M; those at (2, 7) and (3, 5) are past it.
@@ -104,19 +104,24 @@ def _chains(p: int, q: int) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     levels: dict[int, list[tuple[LambdaMonomial, int]]] = {}
+    # Level ``need`` holds |omega(p)| + need * |theta(p)| elements, so a
+    # factor is counted before any level it reaches is built.
+    omega_size = p * (p + 1) * (2 * p + 1) // 6
+    theta_size = (p**3 - p) // 6
 
     def level(need: int) -> list[tuple[LambdaMonomial, int]]:
         """The elements of level ``need`` with their coupling degrees, built once."""
         items = levels.get(need)
         if items is None:
             items = [(e, bidegree(p, e).e_r) for e in level_elements(p, need)]
+            assert len(items) == omega_size + need * theta_size
             assert all(r <= coupling_support_bound(p, need) for _, r in items)
             levels[need] = items
         return items
 
     def extend(chains, factor: int):
         """The chains with one more factor, counted before any is built."""
-        count = sum(len(level(need)) for _, need in chains)
+        count = sum(omega_size + need * theta_size for _, need in chains)
         if count > MAX_CHAINS:
             raise WalkLimitError(
                 f"(p, q) = ({p}, {q}): factor {factor} makes {count} chains, "
@@ -143,8 +148,8 @@ def enumerate_weight_zero(p: int, q: int) -> list[TensorMonomial]:
 
 def random_weight_zero(rng: random.Random, p: int, q: int) -> TensorMonomial:
     """Sample one weight-zero tuple by random chain choices (not uniform)."""
-    omega = _omega_basis(p)
-    theta = _theta_basis(p)
+    omega = omega_basis(p)
+    theta = theta_basis(p)
     factors = []
     need = 0
     for _ in range(q):

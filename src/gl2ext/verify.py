@@ -18,8 +18,9 @@ presentations, and importing it loads no other ``gl2ext`` module.
 - ``check_series_vs_enumeration``: series = enumeration at p <= 3, q <= 2;
 - ``check_presentation_concordance``: oracle quotient of OMEGA(p) = the
   listed strip, which the printed rules miss;
-- ``check_ses_identity`` and ``check_oracle_ses_identity``: one four-term
-  identity on listed counts and on oracle dimensions;
+- ``check_ses_identity`` and ``check_oracle_ses_identity``: the four-term
+  identity of ``_four_term_defects``, on listed counts and on oracle
+  dimensions;
 - ``check_y2_column`` and ``check_calibration``: the oracle's Y2_P3 column
   and arrows = the enumeration's reference column.
 
@@ -46,16 +47,7 @@ from .lambda_basis import (
     level_elements,
     path_j_degree,
 )
-from .paths import (
-    _omega_basis,
-    _theta_basis,
-    exact_sequence_defect,
-    in_theta,
-    omega_basis,
-    pi_mult,
-    sigma,
-    theta_basis,
-)
+from .paths import in_theta, omega_basis, pi_mult, sigma, theta_basis
 
 
 class Check(NamedTuple):
@@ -184,14 +176,27 @@ def check_presentation_concordance(ps=(2, 3, 5)):
     return not problems, "; ".join(problems or notes)
 
 
+def _four_term_defects(p: int, omega: Counter, theta: Counter) -> list[tuple[int, int, int]]:
+    """The columns where the four-term identity fails, as (p, l, defect).
+
+    ``omega`` and ``theta`` count the closed- and open-strip classes by
+    source.  For 1 <= l <= p-1 the closed-strip columns at l, p and p-l and
+    the open-strip column at p-l fit in an exact sequence, so the
+    alternating sum of their dimensions vanishes.
+    """
+    defects = ((l, omega[l] - omega[p] + omega[p - l] - theta[p - l]) for l in range(1, p))
+    return [(p, l, defect) for l, defect in defects if defect]
+
+
 @_check("exact_sequence_identity")
 def check_ses_identity(ps=(2, 3, 5, 7)):
     """The alternating four-term count identity vanishes for all columns."""
     bad = [
-        (p, l)
+        column
         for p in ps
-        for l in range(1, p)
-        if exact_sequence_defect(p, l) != 0
+        for column in _four_term_defects(
+            p, Counter(m.s for m in omega_basis(p)), Counter(m.s for m in theta_basis(p))
+        )
     ]
     return not bad, f"defect nonzero at {bad}" if bad else f"holds for p in {tuple(ps)}"
 
@@ -208,16 +213,8 @@ def check_oracle_ses_identity(ps=(2, 3, 5, 7)):
                 oracle.builtin_presentation(name, p), max_degree=2 * p
             )
             for (s, _, _), n in rep.dims.items():
-                by_src[s] += n
-        for l in range(1, p):
-            defect = (
-                om_src[str(l)]
-                - om_src[str(p)]
-                + om_src[str(p - l)]
-                - th_src[str(p - l)]
-            )
-            if defect:
-                bad.append((p, l, defect))
+                by_src[int(s)] += n
+        bad += _four_term_defects(p, om_src, th_src)
     return not bad, f"defect nonzero at {bad}" if bad else f"holds for p in {tuple(ps)}"
 
 
@@ -292,7 +289,7 @@ def check_calibration():
 def _random_lambda(rng: random.Random, p: int, nh_max: int) -> LambdaMonomial:
     n = rng.choice(range(nh_max + 1))
     h = rng.choice(range(nh_max + 1))
-    pool = _omega_basis(p) if n == 0 else _theta_basis(p)
+    pool = omega_basis(p) if n == 0 else theta_basis(p)
     return LambdaMonomial(rng.choice(pool), n, h)
 
 
@@ -309,10 +306,8 @@ def _gradings(p: int, e: LambdaMonomial) -> tuple[int, int, int, int]:
     return e_l, e_r, k_degree(p, e), path_j_degree(p, e)
 
 
-# The one random stream of the property suite's random sections, and the
-# primes whose enumerated bases have their degree-0 count checked.
+# The one random stream of the property suite's random sections.
 PROPERTY_SEED = 20240
-IDEMPOTENT_PS = (2, 3)
 
 
 @_check("property_suite")
@@ -340,7 +335,7 @@ def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int =
     for p in ps:
         theta = theta_basis(p)
         for a in theta:
-            if sigma(p, sigma(p, a)) != a or not in_theta(p, sigma(p, a)):
+            if sigma(p, sigma(p, a)) != a or not in_theta(p, *sigma(p, a)):
                 problems.append(f"sigma involution fails at p={p}, {a}")
         for a in theta:
             for b in theta:
@@ -464,12 +459,9 @@ def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int =
                 problems.append(f"ext-degree identity fails at p={p}, {m}")
                 break
         checked += len(basis)
-        if p in IDEMPOTENT_PS:
-            count = sum(1 for m in basis if m.z == 0)
-            if count != p**q:
-                problems.append(
-                    f"idempotent count {count} != {p**q} at (p,q)=({p},{q})"
-                )
+        count = sum(1 for m in basis if m.z == 0)
+        if count != p**q:
+            problems.append(f"idempotent count {count} != {p**q} at (p,q)=({p},{q})")
         if len(basis) != len(set(tower.embed(m) for m in basis)):
             problems.append(f"embed not injective at (p,q)=({p},{q})")
         for m in basis[:200]:

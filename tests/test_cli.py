@@ -651,7 +651,7 @@ def test_a_check_that_raises_keeps_its_name(monkeypatch, suite):
         (tower, "enumerate_weight_zero"),
         (series, "lambda_q_series"),
         (oracle, "builtin_presentation"),
-        (verify, "exact_sequence_defect"),
+        (verify, "omega_basis"),
         (verify, "theta_basis"),
     ):
         monkeypatch.setattr(module, name, broken)

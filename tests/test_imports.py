@@ -33,6 +33,12 @@ def test_the_model_loads_no_oracle_module():
     assert "gl2ext.oracle" not in _loaded_after("gl2ext.tower")
 
 
+def test_the_walk_loads_no_series_module():
+    # the enumeration and the operator series are independent routes that
+    # verify compares; the walk's level bound comes from lambda_basis
+    assert "gl2ext.series" not in _loaded_after("gl2ext.tower")
+
+
 def test_the_cli_loads_every_layer_module():
     # the traced benchmark (Tracer.install in bench/spans.py) looks each layer
     # module up in sys.modules after importing gl2ext.cli; a layer imported

@@ -1,21 +1,20 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from gl2ext.paths import (
     PathMonomial,
-    count_by_source,
-    exact_sequence_defect,
     in_omega,
     in_theta,
     is_prime,
     omega_basis,
     pi_mult,
     require_prime,
-    restricted_mult,
     sigma,
     theta_basis,
 )
+from gl2ext.verify import _four_term_defects
 
 
 def M(s, a, b):
@@ -25,6 +24,18 @@ def M(s, a, b):
 def printed_in_omega(p, m):
     """The paper's printed closed-strip rule: alpha <= p - 1 in place of target <= p."""
     return m.alpha >= 0 and 0 <= m.beta <= m.s - 1 and 1 <= m.s <= p and m.alpha <= p - 1
+
+
+def restricted_mult(p, basis, a, b):
+    """Reference product inside the named strip; None when the product leaves it.
+
+    ``lambda_basis.lambda_mult`` at level 0 is the library's closed-strip product.
+    """
+    member = {"omega": in_omega, "theta": in_theta}[basis]
+    if not member(p, *a) or not member(p, *b):
+        raise ValueError(f"restricted_mult: {a} or {b} is not in the {basis} basis")
+    prod = pi_mult(a, b)
+    return prod if prod is not None and member(p, *prod) else None
 
 
 def test_pi_mult_examples():
@@ -39,21 +50,21 @@ def test_target_and_degree():
 
 
 def test_in_omega_examples():
-    assert in_omega(3, M(1, 2, 0))
-    assert not in_omega(3, M(3, 1, 0))
-    assert in_omega(2, M(2, 1, 1))
+    assert in_omega(3, 1, 2, 0)
+    assert not in_omega(3, 3, 1, 0)
+    assert in_omega(2, 2, 1, 1)
 
 
 def test_in_omega_printed_variant():
     # the printed rule admits classes whose target leaves the strip
-    assert not in_omega(2, M(2, 1, 0))
+    assert not in_omega(2, *M(2, 1, 0))
     assert printed_in_omega(2, M(2, 1, 0))
 
 
 def test_in_theta_examples():
-    assert in_theta(3, M(1, 1, 0))
-    assert not in_theta(3, M(1, 2, 0))
-    assert not in_theta(3, M(2, 1, 0))
+    assert in_theta(3, 1, 1, 0)
+    assert not in_theta(3, 1, 2, 0)
+    assert not in_theta(3, 2, 1, 0)
 
 
 def test_sigma_examples():
@@ -73,16 +84,13 @@ def test_restricted_mult_examples():
 def test_restricted_mult_rejects_nonmembers():
     with pytest.raises(ValueError):
         restricted_mult(2, "omega", M(2, 1, 0), M(3, 0, 0))
-    with pytest.raises(ValueError):
-        restricted_mult(3, "nope", M(1, 0, 0), M(1, 0, 0))
 
 
 def test_basis_counts_match_formulas():
-    for p in (2, 3, 5, 7):
-        assert len(theta_basis(p)) == sum(s * (p - s) for s in range(1, p))
-        assert len(omega_basis(p)) == sum(
-            p - s + beta + 1 for s in range(1, p + 1) for beta in range(s)
-        )
+    # the closed forms that size the walk's levels before they are built
+    for p in (2, 3, 5, 7, 11, 13):
+        assert len(omega_basis(p)) == p * (p + 1) * (2 * p + 1) // 6
+        assert len(theta_basis(p)) == (p**3 - p) // 6
     assert len(theta_basis(3)) == 4
     assert len(omega_basis(2)) == 5
 
@@ -91,10 +99,10 @@ def test_bases_are_sorted_and_consistent_with_membership():
     for p in (2, 3, 5):
         om = omega_basis(p)
         th = theta_basis(p)
-        assert om == sorted(om)
-        assert th == sorted(th)
-        assert all(in_omega(p, m) for m in om)
-        assert all(in_theta(p, m) for m in th)
+        assert list(om) == sorted(om)
+        assert list(th) == sorted(th)
+        assert all(in_omega(p, *m) for m in om)
+        assert all(in_theta(p, *m) for m in th)
         # the open strip sits inside the closed one
         assert set(th) <= set(om)
 
@@ -113,29 +121,18 @@ def test_associativity_and_degree_additivity():
         assert left == right
 
 
-def test_exact_sequence_identity():
-    # the identity itself is verify's exact_sequence_identity check
-    with pytest.raises(ValueError):
-        exact_sequence_defect(3, 3)
-
-
-def printed_defect(p, l):
-    """``exact_sequence_defect`` with the closed-strip columns counted by the printed rule."""
+def printed_defects(p):
+    """verify's four-term defects with the closed-strip columns counted by the printed rule."""
     box = [M(s, a, b) for s in range(1, p + 1) for a in range(p) for b in range(p)]
-    om = count_by_source([m for m in box if printed_in_omega(p, m)])
-    th = count_by_source(theta_basis(p))
-    return om.get(l, 0) - om.get(p, 0) + om.get(p - l, 0) - th.get(p - l, 0)
+    om = Counter(m.s for m in box if printed_in_omega(p, m))
+    return _four_term_defects(p, om, Counter(m.s for m in theta_basis(p)))
 
 
 def test_exact_sequence_identity_fails_for_printed_variant():
+    # the corrected closed strip at p = 3, counted by source
+    assert Counter(m.s for m in omega_basis(3)) == {1: 3, 2: 5, 3: 6}
     # the printed membership breaks the four-term identity somewhere
-    broken = [(p, l) for p in (2, 3) for l in range(1, p) if printed_defect(p, l) != 0]
-    assert broken
-
-
-def test_count_by_source():
-    counts = count_by_source(omega_basis(3))
-    assert counts == {1: 3, 2: 5, 3: 6}
+    assert [column for p in (2, 3) for column in printed_defects(p)]
 
 
 def test_prime_helpers():

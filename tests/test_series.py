@@ -7,12 +7,12 @@ from gl2ext.series import (
     InsufficientBoundsError,
     TrigradedSeries,
     apply_operator,
-    coupling_support_bound,
     f_series,
     fz_series,
     lambda_q_series,
     lambda_series,
 )
+from gl2ext.lambda_basis import coupling_support_bound
 from gl2ext.verify import check_series_vs_enumeration
 
 

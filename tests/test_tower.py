@@ -160,6 +160,18 @@ def test_the_walk_counts_each_factor_against_its_limit(monkeypatch):
         ext_dim_table(3, 2)
 
 
+def test_the_walk_counts_a_level_before_building_it(monkeypatch):
+    def unbuilt(p, level):
+        raise AssertionError(f"level {level} built at p = {p}")
+
+    # a strip of 9,691,990 classes is refused without being listed
+    monkeypatch.setattr(tower, "level_elements", unbuilt)
+    message = r"^\(p, q\) = \(307, 1\): factor 1 makes 9691990 chains, past the limit of 4000000$"
+    for walk in (enumerate_weight_zero, ext_dim_table):
+        with pytest.raises(WalkLimitError, match=message):
+            walk(307, 1)
+
+
 def test_enumerate_invalid_arguments():
     with pytest.raises(ValueError):
         enumerate_weight_zero(4, 1)
