@@ -67,7 +67,9 @@ def lambda_mult(p: int, x: LambdaMonomial, y: LambdaMonomial) -> Optional[Lambda
             return None
     elif not in_theta(p, s, alpha, beta):
         return None
-    return LambdaMonomial(PathMonomial(s, alpha, beta), n, x_h + y_h)
+    # tuple.__new__ skips a Python frame per object in the generated constructors
+    b = tuple.__new__(PathMonomial, (s, alpha, beta))
+    return tuple.__new__(LambdaMonomial, (b, n, x_h + y_h))
 
 
 def bidegree(p: int, e: LambdaMonomial) -> BiDegree:

@@ -73,7 +73,8 @@ def tensor_mult(p: int, a: TensorMonomial, b: TensorMonomial) -> Optional[Signed
         exponent += k_degree(p, x) * k_before
         k_before += k_degree(p, y)
     sign = -1 if exponent % 2 else 1
-    return SignedTensorMonomial(sign, TensorMonomial(tuple(factors), a_z + b_z))
+    m = tuple.__new__(TensorMonomial, (tuple(factors), a_z + b_z))  # as in lambda_mult
+    return tuple.__new__(SignedTensorMonomial, (sign, m))
 
 
 def weight(p: int, m: TensorMonomial) -> tuple[int, ...]:
@@ -146,6 +147,20 @@ def enumerate_weight_zero(p: int, q: int) -> list[TensorMonomial]:
     return [m for z in sorted(by_z) for m in by_z[z]]
 
 
+def below(rng: random.Random, n: int) -> int:
+    """The draw from range(n) that ``rng.choice(range(n))`` makes, in one frame.
+
+    Like ``Random._randbelow``, it repeats ``getrandbits(n.bit_length())``
+    until the draw is below n, so ``pool[below(rng, len(pool))]`` draws what
+    ``rng.choice(pool)`` draws and the seeded samples stay the same.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_weight_zero(rng: random.Random, p: int, q: int) -> TensorMonomial:
     """Sample one weight-zero tuple by random chain choices (not uniform)."""
     omega = omega_basis(p)
@@ -153,12 +168,12 @@ def random_weight_zero(rng: random.Random, p: int, q: int) -> TensorMonomial:
     factors = []
     need = 0
     for _ in range(q):
-        n = rng.choice(range(need + 1))  # draws what rng.randint(0, need) draws
-        b = rng.choice(omega if n == 0 else theta)
-        e = LambdaMonomial(b, n, need - n)
+        n = below(rng, need + 1)
+        pool = omega if n == 0 else theta
+        e = tuple.__new__(LambdaMonomial, (pool[below(rng, len(pool))], n, need - n))
         factors.append(e)
         need = bidegree(p, e).e_r
-    return TensorMonomial(tuple(factors), need)
+    return tuple.__new__(TensorMonomial, (tuple(factors), need))
 
 
 def is_weight_zero_basis_element(p: int, m: TensorMonomial) -> bool:

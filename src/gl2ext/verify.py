@@ -48,6 +48,7 @@ from .lambda_basis import (
     path_j_degree,
 )
 from .paths import in_theta, omega_basis, pi_mult, sigma, theta_basis
+from .tower import below
 
 
 class Check(NamedTuple):
@@ -284,20 +285,16 @@ def check_calibration():
     )
 
 
-# rng.choice(range(a, b + 1)) draws exactly what rng.randint(a, b) draws,
-# with less overhead, so the seeded samples stay the same.
 def _random_lambda(rng: random.Random, p: int, nh_max: int) -> LambdaMonomial:
-    n = rng.choice(range(nh_max + 1))
-    h = rng.choice(range(nh_max + 1))
+    n = below(rng, nh_max + 1)
+    h = below(rng, nh_max + 1)
     pool = omega_basis(p) if n == 0 else theta_basis(p)
-    return LambdaMonomial(rng.choice(pool), n, h)
+    return tuple.__new__(LambdaMonomial, (pool[below(rng, len(pool))], n, h))
 
 
 def _random_tensor(rng: random.Random, p: int, q: int, nh_max: int):
-    return tower.TensorMonomial(
-        tuple(_random_lambda(rng, p, nh_max) for _ in range(q)),
-        rng.choice(range(2 * p + 1)),
-    )
+    factors = tuple(_random_lambda(rng, p, nh_max) for _ in range(q))
+    return tuple.__new__(tower.TensorMonomial, (factors, below(rng, 2 * p + 1)))
 
 
 def _gradings(p: int, e: LambdaMonomial) -> tuple[int, int, int, int]:
@@ -392,8 +389,8 @@ def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int =
     # randomized signed closure, weight additivity and associativity
     rounds = max(1, random_rounds // 2)
     for _ in range(rounds):
-        p = rng.choice(ps)
-        q = rng.choice(range(1, q_max + 1))
+        p = ps[below(rng, len(ps))]
+        q = 1 + below(rng, q_max)
         a = tower.random_weight_zero(rng, p, q)
         b = tower.random_weight_zero(rng, p, q)
         r = tower.tensor_mult(p, a, b)
@@ -404,8 +401,8 @@ def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int =
             problems.append(f"random closure fails: {a} * {b}")
             break
     for _ in range(rounds):
-        p = rng.choice(ps)
-        q = rng.choice(range(1, q_max + 1))
+        p = ps[below(rng, len(ps))]
+        q = 1 + below(rng, q_max)
         a, b, c = (_random_tensor(rng, p, q, 3) for _ in range(3))
         ab = tower.tensor_mult(p, a, b)
         bc = tower.tensor_mult(p, b, c)
@@ -431,8 +428,8 @@ def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int =
 
     # embedding: injective, multiplicative, sign preserving, weight prefixing
     for _ in range(500):
-        p = rng.choice(ps)
-        q = rng.choice(range(1, q_max + 1))
+        p = ps[below(rng, len(ps))]
+        q = 1 + below(rng, q_max)
         a = _random_tensor(rng, p, q, 3)
         b = _random_tensor(rng, p, q, 3)
         ea, eb = tower.embed(a), tower.embed(b)

@@ -7,9 +7,9 @@ intermediate path and sums the sign over all slot pairs; the kernels in
 
 import itertools
 
-from gl2ext.lambda_basis import LambdaMonomial, lambda_mult, level_elements
+from gl2ext.lambda_basis import BiDegree, LambdaMonomial, bidegree, lambda_mult, level_elements
 from gl2ext.paths import PathMonomial, pi_mult, sigma
-from gl2ext.tower import SignedTensorMonomial, TensorMonomial
+from gl2ext.tower import SignedTensorMonomial, TensorMonomial, tensor_mult
 
 
 def ref_pi_mult(a, b):
@@ -78,3 +78,32 @@ def test_lambda_mult_matches_reference_on_every_pool_pair():
             assert got == ref_lambda_mult(p, x, y), (p, x, y)
             nonzero += got is not None
         assert nonzero  # the comparison is not vacuous
+
+
+def test_products_build_their_own_classes():
+    """The kernels' results are the classes' values: same type, equality and hash."""
+    signs = set()
+    for p in (2, 3, 5):
+        pool = operands(p)
+        live = []
+        for x, y in itertools.product(pool, repeat=2):
+            got = lambda_mult(p, x, y)
+            if got is None:
+                continue
+            assert type(got) is LambdaMonomial and type(got.b) is PathMonomial
+            built = LambdaMonomial(PathMonomial(*got.b), got.n, got.h)
+            assert got == built and hash(got) == hash(built)
+            live.append((x, y))
+        for e in pool:
+            got = bidegree(p, e)
+            assert type(got) is BiDegree
+            built = BiDegree(got.e_l, got.e_r)
+            assert got == built and hash(got) == hash(built)
+        # consecutive live pairs as the two slots, so every product is nonzero
+        for (x1, y1), (x2, y2) in zip(live, live[1:]):
+            got = tensor_mult(p, TensorMonomial((x1, x2), 1), TensorMonomial((y1, y2), 2))
+            assert type(got) is SignedTensorMonomial and type(got.monomial) is TensorMonomial
+            built = SignedTensorMonomial(got.sign, TensorMonomial(tuple(got.monomial.factors), got.monomial.z))
+            assert got == built and hash(got) == hash(built)
+            signs.add(got.sign)
+    assert signs == {-1, 1}

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
-from gl2ext import tower
-from gl2ext.lambda_basis import LambdaMonomial, lambda_unit
+from gl2ext import tower, verify
+from gl2ext.lambda_basis import LambdaMonomial, lambda_mult, lambda_unit
 from gl2ext.paths import PathMonomial
 from gl2ext.tower import (
     TensorMonomial,
@@ -219,6 +220,59 @@ def test_random_weight_zero_is_in_basis():
         index = set(enumerate_weight_zero(p, q))
         for _ in range(200):
             assert random_weight_zero(rng, p, q) in index
+
+
+# sha256 over the (sampler, p, q, operand) reprs that the full property
+# suite draws at verify.PROPERTY_SEED, recorded with the random.choice sampler.
+PROPERTY_STREAM_DIGEST = "7039488aea54da40bb48775fc1064315d9d8389d1549193f941dad4a6d269a17"
+
+
+def test_the_property_suite_draws_a_pinned_stream(monkeypatch):
+    """The random sections check the operands they always checked."""
+    digest = hashlib.sha256()
+    drawn = Counter()
+
+    def recorded(sampler):
+        def draw(rng, p, q, *rest):
+            m = sampler(rng, p, q, *rest)
+            digest.update(repr((sampler.__name__, p, q, m)).encode())
+            drawn[sampler.__name__, p, q] += 1
+            return m
+
+        return draw
+
+    monkeypatch.setattr(tower, "random_weight_zero", recorded(tower.random_weight_zero))
+    monkeypatch.setattr(verify, "_random_tensor", recorded(verify._random_tensor))
+    verify.check_property_suite(ps=(2, 3, 5), q_max=3)
+    # both samplers were drawn at every p and q
+    assert {(p, q) for _, p, q in drawn} == {(p, q) for p in (2, 3, 5) for q in (1, 2, 3)}
+    assert {name for name, _, _ in drawn} == {"random_weight_zero", "_random_tensor"}
+    assert sum(drawn.values()) == 10_000 + 15_000 + 1_000
+    assert digest.hexdigest() == PROPERTY_STREAM_DIGEST
+
+
+def test_tensor_mult_looks_up_lambda_mult_once_per_slot(monkeypatch):
+    """Up to and including the first dead slot, so traced counts see every product."""
+    calls = []
+
+    def counted(p, x, y):
+        calls.append((x, y))
+        return lambda_mult(p, x, y)
+
+    monkeypatch.setattr(tower, "lambda_mult", counted)
+    outcomes = set()
+    for p, q in ((2, 2), (3, 2), (2, 3)):
+        basis = enumerate_weight_zero(p, q)[:40]
+        for a in basis:
+            for b in basis:
+                calls.clear()
+                r = tensor_mult(p, a, b)
+                slots = list(zip(a.factors, b.factors))
+                dead = [i for i, (x, y) in enumerate(slots) if lambda_mult(p, x, y) is None]
+                assert (r is None) == bool(dead)
+                assert calls == slots[: dead[0] + 1 if dead else q]
+                outcomes.add(dead[0] if dead else None)
+    assert outcomes == {None, 0, 1, 2}  # products that live, and each slot dying first
 
 
 def test_is_weight_zero_basis_element():
