@@ -5,12 +5,19 @@ sorted JSON keys, no timestamps.  It is written in batches as it is
 encoded, never held whole.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  A reader that closes the pipe early (``| head``)
 ends the run with exit 0.
+
+Each subcommand runs only the layer modules it uses: ``hilbert`` runs
+``series``; ``basis``, ``ext-table`` and ``multiply`` run ``tower``, both
+with ``lambda_basis``; ``oracle`` runs ``oracle``; ``verify`` runs them all.
+``paths`` always runs.  Every other layer is in ``sys.modules`` once this
+module is imported, and its code runs on first use.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -18,13 +25,30 @@ import sys
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional
 
-from . import oracle, series, tower, verify
-from .lambda_basis import LambdaMonomial, is_valid
 from .paths import PathMonomial, is_prime
-from .tower import TensorMonomial
 
 
-def factor_record(f: LambdaMonomial) -> dict:
+def _deferred(name: str):
+    """``from . import name``, but the module's code runs on first attribute use.
+
+    A module already in ``sys.modules`` is returned as it is: one module per name.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+lambda_basis, oracle, series, tower, verify = map(
+    _deferred, ("lambda_basis", "oracle", "series", "tower", "verify")
+)
+
+
+def factor_record(f: lambda_basis.LambdaMonomial) -> dict:
     return {"s": f.b.s, "alpha": f.b.alpha, "beta": f.b.beta, "n": f.n, "h": f.h}
 
 
@@ -36,12 +60,12 @@ def _integer_field(rec: dict, key: str) -> int:
     return value
 
 
-def factor_from_record(rec: dict) -> LambdaMonomial:
+def factor_from_record(rec: dict) -> lambda_basis.LambdaMonomial:
     s, alpha, beta, n, h = (_integer_field(rec, k) for k in ("s", "alpha", "beta", "n", "h"))
-    return LambdaMonomial(PathMonomial(s, alpha, beta), n, h)
+    return lambda_basis.LambdaMonomial(PathMonomial(s, alpha, beta), n, h)
 
 
-def basis_record(p: int, m: TensorMonomial) -> dict:
+def basis_record(p: int, m: tower.TensorMonomial) -> dict:
     left, right = tower.vertex_tuples(p, m)
     return {
         "factors": [factor_record(f) for f in m.factors],
@@ -52,11 +76,11 @@ def basis_record(p: int, m: TensorMonomial) -> dict:
     }
 
 
-def tensor_from_record(rec: dict) -> TensorMonomial:
+def tensor_from_record(rec: dict) -> tower.TensorMonomial:
     factors = rec["factors"]
     if type(factors) is not list or not factors:
         raise ValueError(f"factors must be a non-empty list, got {factors!r}")
-    return TensorMonomial(
+    return tower.TensorMonomial(
         tuple(factor_from_record(f) for f in factors), _integer_field(rec, "z")
     )
 
@@ -167,7 +191,7 @@ def _prime(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gl2ext", description=__doc__)
+    parser = _Parser(prog="gl2ext", description=__doc__.rsplit("\n\n", 1)[0])  # not the modules paragraph
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, q=True):
@@ -328,7 +352,7 @@ def cmd_multiply(args, parser) -> int:
         if operand.z < 0:
             parser.error(f"operand z must be >= 0, got {operand.z}")
         for f in operand.factors:
-            if not is_valid(args.p, f):
+            if not lambda_basis.is_valid(args.p, f):
                 parser.error(
                     f"operand factor {factor_record(f)} is not a layer element at p={args.p}"
                 )
@@ -407,7 +431,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         try:
             code = args.run(args, parser)
-        except (oracle.WorkLimitError, tower.WalkLimitError) as exc:  # a work limit
+        except (oracle.WorkLimitError, tower.WalkLimitError) as exc:  # only an error runs these modules
             parser.error(str(exc))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except SystemExit as exc:  # a usage error, in parsing or inside a command

@@ -540,13 +540,36 @@ def test_emitters_match_the_one_shot_encoders(capsys, monkeypatch, batch):
         assert capsys.readouterr().out == buf.getvalue()
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a ``python -m gl2ext`` child that imports this gl2ext."""
+    src = os.path.dirname(os.path.dirname(gl2ext.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--p", "2", "--q", "7"),
+        ("ext-table", "--p", "3", "--q", "5"),
+        ("oracle", "quotient-dims", "--name", "NOPE", "--p", "3", "--max-degree", "3"),
+        ("oracle", "ext", "--presentation", "{missing}", "--max-n", "2"),
+        ("hilbert", "--p", "4", "--q", "1"),
+    ],
+    ids=["basis-walk-limit", "ext-table-walk-limit", "unknown-name", "missing-file", "p-not-prime"],
+)
+def test_a_child_reports_bad_input_in_one_line(tmp_path, argv):
+    # in this process every layer module has already run; a child meets the
+    # limit errors of modules that the CLI runs only on first use
+    argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "gl2ext", *argv], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, len(proc.stderr.splitlines())) == (2, "", 1)
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_pipe_ends_the_run_quietly(unbuffered):
     # 2.6 MB of output, far more than a pipe holds, so the child must write
     # into the closed pipe
-    src = os.path.dirname(os.path.dirname(gl2ext.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env["PYTHONUNBUFFERED"] = unbuffered
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen(
         [sys.executable, "-m", "gl2ext", "basis", "--p", "5", "--q", "2"],
         stdout=subprocess.PIPE,

@@ -1,4 +1,4 @@
-"""What importing a gl2ext module loads, each time in a fresh interpreter."""
+"""What importing a gl2ext module loads, and what a CLI call runs, each time in a fresh interpreter."""
 
 import importlib.util
 import os
@@ -6,18 +6,24 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import gl2ext
+from gl2ext import oracle
 
 LAYERS = {f"gl2ext.{name}" for name in ("paths", "lambda_basis", "tower", "series", "oracle", "verify")}
 
 
-def _loaded_after(module: str) -> set[str]:
-    """The gl2ext modules in ``sys.modules`` after a fresh ``import module``."""
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(gl2ext.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, {module}; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'gl2ext'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    return set(out.split())
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _loaded_after(module: str) -> set[str]:
+    """The gl2ext modules in ``sys.modules`` after a fresh ``import module``."""
+    return set(_fresh(f"import sys, {module}; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'gl2ext'))").split())
 
 
 def test_the_oracle_loads_no_model_module():
@@ -41,9 +47,45 @@ def test_the_walk_loads_no_series_module():
 
 def test_the_cli_loads_every_layer_module():
     # the traced benchmark (Tracer.install in bench/spans.py) looks each layer
-    # module up in sys.modules after importing gl2ext.cli; a layer imported
-    # lazily would make ``bench/run.py --trace 1`` fail with a KeyError
+    # module up in sys.modules after importing gl2ext.cli; every layer is there
+    # once cli is imported, and each runs on first use.  A layer imported only
+    # inside a command would make ``bench/run.py --trace 1`` fail with a KeyError
     assert LAYERS <= _loaded_after("gl2ext.cli")
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["hilbert", "--p", "2", "--q", "1"], {"paths", "lambda_basis", "series"}),
+        (["basis", "--p", "2", "--q", "1"], {"paths", "lambda_basis", "tower"}),
+        (["oracle", "quotient-dims", "--name", "C", "--p", "2", "--max-degree", "2"], {"paths", "oracle"}),
+        (["verify", "--suite", "fast"], {"paths", "lambda_basis", "tower", "series", "oracle", "verify"}),
+    ],
+    ids=["hilbert", "basis", "oracle", "verify"],
+)
+def test_a_subcommand_runs_only_the_layers_it_uses(argv, ran):
+    # a deferred module is of a ModuleType subclass until its code has run
+    code = (
+        "import contextlib, io, sys, types\n"
+        "from gl2ext import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0\n"
+        "print(' '.join(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
+    )
+    assert LAYERS & set(_fresh(code).split()) == {f"gl2ext.{name}" for name in ran}
+
+
+@pytest.mark.parametrize("first, second", [("gl2ext.oracle", "gl2ext.cli"), ("gl2ext.cli", "gl2ext.oracle")])
+def test_a_deferred_layer_is_the_module_that_import_gives(first, second):
+    # one module object per name, whichever is imported first: a second
+    # gl2ext.oracle would take a patch of MAX_WORK that the CLI never reads
+    code = (
+        f"import sys, {first}\n"
+        "held = sys.modules['gl2ext.oracle']\n"
+        f"import {second}\n"
+        "assert held is gl2ext.cli.oracle is gl2ext.oracle is sys.modules['gl2ext.oracle']\n"
+        "print(gl2ext.oracle.MAX_WORK)"
+    )
+    assert _fresh(code) == f"{oracle.MAX_WORK}\n"
 
 
 def test_the_tracer_targets_exist():
