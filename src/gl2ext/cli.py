@@ -431,7 +431,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         try:
             code = args.run(args, parser)
-        except (oracle.WorkLimitError, tower.WalkLimitError) as exc:  # only an error runs these modules
+        except (SystemExit, BrokenPipeError):
+            raise  # before the next clause, whose class tuple runs both deferred modules
+        except (oracle.WorkLimitError, tower.WalkLimitError) as exc:
             parser.error(str(exc))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except SystemExit as exc:  # a usage error, in parsing or inside a command

@@ -58,18 +58,21 @@ def tensor_mult(p: int, a: TensorMonomial, b: TensorMonomial) -> Optional[Signed
     """
     a_factors, a_z = a
     b_factors, b_z = b
-    if len(a_factors) != len(b_factors):
-        raise ValueError(
-            f"factor counts differ: {len(a_factors)} vs {len(b_factors)}"
-        )
+    q = len(a_factors)
+    if q != len(b_factors):
+        raise ValueError(f"factor counts differ: {q} vs {len(b_factors)}")
+    # Most products die in the first slot: the loop makes no iterator, and
+    # the sign waits until every slot lives.
     factors = []
-    exponent = 0
-    k_before = 0  # k_degree(b_j) summed over j < i
-    for x, y in zip(a_factors, b_factors):
-        prod = lambda_mult(p, x, y)
+    i = 0
+    while i < q:
+        prod = lambda_mult(p, a_factors[i], b_factors[i])
         if prod is None:
             return None
         factors.append(prod)
+        i += 1
+    exponent = k_before = 0  # k_before: k_degree(b_j) summed over j < i
+    for x, y in zip(a_factors, b_factors):
         exponent += k_degree(p, x) * k_before
         k_before += k_degree(p, y)
     sign = -1 if exponent % 2 else 1
@@ -89,7 +92,8 @@ def weight(p: int, m: TensorMonomial) -> tuple[int, ...]:
 
 def embed(m: TensorMonomial) -> TensorMonomial:
     """Prepend the unit idempotent; multiplicative, sign- and weight-preserving."""
-    return TensorMonomial((lambda_unit(),) + m.factors, m.z)
+    factors, z = m
+    return tuple.__new__(TensorMonomial, ((lambda_unit(),) + factors, z))  # as in lambda_mult
 
 
 def _chains(p: int, q: int) -> Iterator[tuple[tuple[LambdaMonomial, ...], int]]:

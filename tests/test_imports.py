@@ -74,6 +74,19 @@ def test_a_subcommand_runs_only_the_layers_it_uses(argv, ran):
     assert LAYERS & set(_fresh(code).split()) == {f"gl2ext.{name}" for name in ran}
 
 
+def test_a_usage_error_inside_a_command_runs_no_other_layer():
+    # the limit errors that main catches live in oracle and tower; naming
+    # them must not run either module when a command calls parser.error
+    code = (
+        "import contextlib, io, sys, types\n"
+        "from gl2ext import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['hilbert', '--p', '3', '--q', '-1']) == 2\n"
+        "print(' '.join(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
+    )
+    assert LAYERS & set(_fresh(code).split()) == {"gl2ext.paths"}
+
+
 @pytest.mark.parametrize("first, second", [("gl2ext.oracle", "gl2ext.cli"), ("gl2ext.cli", "gl2ext.oracle")])
 def test_a_deferred_layer_is_the_module_that_import_gives(first, second):
     # one module object per name, whichever is imported first: a second

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from gl2ext import tower, verify
-from gl2ext.lambda_basis import LambdaMonomial, lambda_mult, lambda_unit
+from gl2ext.lambda_basis import LambdaMonomial, is_valid, lambda_mult, lambda_unit, level_elements
 from gl2ext.paths import PathMonomial
 from gl2ext.tower import (
     TensorMonomial,
@@ -249,6 +249,49 @@ def test_the_property_suite_draws_a_pinned_stream(monkeypatch):
     assert {name for name, _, _ in drawn} == {"random_weight_zero", "_random_tensor"}
     assert sum(drawn.values()) == 10_000 + 15_000 + 1_000
     assert digest.hexdigest() == PROPERTY_STREAM_DIGEST
+
+
+def _layer_pool(p):
+    """The operands of the property suite's layer closure: levels 0..6 with n, h <= 3."""
+    return [e for lvl in range(7) for e in level_elements(p, lvl) if e.n <= 3 and e.h <= 3]
+
+
+def test_the_property_suite_multiplies_every_pair(monkeypatch):
+    """No closure sweep skips a pair, for example by testing endpoints first."""
+    layer, towers = Counter(), Counter()
+
+    def counted(product, calls, key):
+        def call(p, x, y):
+            calls[key(p, x)] += 1
+            return product(p, x, y)
+
+        return call
+
+    monkeypatch.setattr(verify, "lambda_mult", counted(lambda_mult, layer, lambda p, x: p))
+    monkeypatch.setattr(tower, "tensor_mult", counted(tensor_mult, towers, lambda p, a: (p, len(a.factors))))
+    # with ps = (5,), every product at p = 2 or 3 is one of the exhaustive closure's
+    assert verify.check_property_suite(random_rounds=2, ps=(5,), q_max=1).ok
+    assert layer == {5: len(_layer_pool(5)) ** 2}  # the layer closure alone calls verify.lambda_mult
+    assert {key: n for key, n in towers.items() if key[0] != 5} == {
+        (p, q): len(enumerate_weight_zero(p, q)) ** 2 for p in (2, 3) for q in (1, 2)
+    }
+
+
+def test_the_product_memo_cannot_hide_a_failure(monkeypatch):
+    """A product that is_valid rejects fails the layer closure at the first pair that makes it."""
+    args = {"random_rounds": 2, "ps": (2,), "q_max": 1}
+    # a product cache kept from this run would hide the rejection below
+    assert verify.check_property_suite(**args).ok
+    pool = _layer_pool(2)
+    products = [(x, y, lambda_mult(2, x, y)) for x in pool for y in pool]
+    counts = Counter(r for _, _, r in products if r is not None)
+    target = max(counts, key=counts.get)
+    assert counts[target] > 1
+    x, y = next((x, y) for x, y, r in products if r == target)
+    monkeypatch.setattr(verify, "is_valid", lambda p, e: e != target and is_valid(p, e))
+    assert verify.check_property_suite(**args) == (
+        "property_suite", False, f"closure fails: {x} * {y} -> {target}"
+    )
 
 
 def test_tensor_mult_looks_up_lambda_mult_once_per_slot(monkeypatch):
