@@ -194,10 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gl2ext", description=__doc__.rsplit("\n\n", 1)[0])  # not the modules paragraph
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, q=True):
+    def add_common(sp):
         sp.add_argument("--p", type=_prime, required=True, help="prime parameter")
-        if q:
-            sp.add_argument("--q", type=int, required=True, help="tensor factors")
+        sp.add_argument("--q", type=int, required=True, help="tensor factors")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("basis", help="list the weight-zero basis")
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("multiply", help="signed product of two basis records")
     sp.set_defaults(run=cmd_multiply)
-    add_common(sp, q=False)
+    sp.add_argument("--p", type=_prime, required=True, help="prime parameter")
     sp.add_argument("a", help="JSON record {factors: [...], z: n}")
     sp.add_argument("b", help="JSON record {factors: [...], z: n}")
 
@@ -341,8 +340,6 @@ def cmd_hilbert(args, parser) -> int:
 
 
 def cmd_multiply(args, parser) -> int:
-    if args.format != "json":
-        parser.error("multiply writes JSON only")
     try:
         a = tensor_from_record(json.loads(args.a))
         b = tensor_from_record(json.loads(args.b))

@@ -178,13 +178,18 @@ class QuiverPresentation:
 # -- builtin presentations --------------------------------------------------
 
 
+def _line_quiver(n: int, up: str, down: str) -> tuple[list[str], list[tuple]]:
+    """Vertices 1..n and, for each l < n, the arrows up{l}: l -> l+1 and down{l}: l+1 -> l."""
+    vertices = [str(v) for v in range(1, n + 1)]
+    arrows = []
+    for l in range(1, n):
+        arrows.append((f"{up}{l}", str(l), str(l + 1), 1))
+        arrows.append((f"{down}{l}", str(l + 1), str(l), 1))
+    return vertices, arrows
+
+
 def _omega_presentation(p: int) -> QuiverPresentation:
     """Closed strip on vertices 1..p: commuting loops, dead up-loop at 1."""
-    vertices = [str(v) for v in range(1, p + 1)]
-    arrows = []
-    for l in range(1, p):
-        arrows.append((f"x{l}", str(l), str(l + 1), 1))
-        arrows.append((f"y{l}", str(l + 1), str(l), 1))
     one = Fraction(1)
     relations: list[Relation] = [[(one, ("x1", "y1"))]]
     for l in range(1, p - 1):
@@ -192,16 +197,11 @@ def _omega_presentation(p: int) -> QuiverPresentation:
         relations.append(
             [(one, (f"y{l}", f"x{l}")), (-one, (f"x{l + 1}", f"y{l + 1}"))]
         )
-    return QuiverPresentation(f"OMEGA({p})", vertices, arrows, relations)
+    return QuiverPresentation(f"OMEGA({p})", *_line_quiver(p, "x", "y"), relations)
 
 
 def _theta_presentation(p: int) -> QuiverPresentation:
     """Open strip on vertices 1..p-1: both boundary loops die."""
-    vertices = [str(v) for v in range(1, p)]
-    arrows = []
-    for l in range(1, p - 1):
-        arrows.append((f"x{l}", str(l), str(l + 1), 1))
-        arrows.append((f"y{l}", str(l + 1), str(l), 1))
     one = Fraction(1)
     relations: list[Relation] = []
     for v in range(1, p):
@@ -213,16 +213,11 @@ def _theta_presentation(p: int) -> QuiverPresentation:
             relations.append([(one, up)])
         elif down:
             relations.append([(one, down)])
-    return QuiverPresentation(f"THETA({p})", vertices, arrows, relations)
+    return QuiverPresentation(f"THETA({p})", *_line_quiver(p - 1, "x", "y"), relations)
 
 
 def _c_presentation(p: int) -> QuiverPresentation:
     """Zigzag-type subquotient on vertices 1..p (squares die, loops anti-commute)."""
-    vertices = [str(v) for v in range(1, p + 1)]
-    arrows = []
-    for l in range(1, p):
-        arrows.append((f"xi{l}", str(l), str(l + 1), 1))
-        arrows.append((f"eta{l}", str(l + 1), str(l), 1))
     one = Fraction(1)
     relations: list[Relation] = []
     for l in range(1, p - 1):
@@ -232,7 +227,7 @@ def _c_presentation(p: int) -> QuiverPresentation:
             [(one, (f"eta{l}", f"xi{l}")), (one, (f"xi{l + 1}", f"eta{l + 1}"))]
         )
     relations.append([(one, (f"eta{p - 1}", f"xi{p - 1}"))])
-    return QuiverPresentation(f"C({p})", vertices, arrows, relations)
+    return QuiverPresentation(f"C({p})", *_line_quiver(p, "xi", "eta"), relations)
 
 
 def _y2_p3_presentation() -> QuiverPresentation:
@@ -350,9 +345,8 @@ def _y2_p3_completed_presentation() -> QuiverPresentation:
         extra.append(
             [(one, (f"be3{j}", f"f2{j}")), (-one, (f"g3{j}", f"al2{3 - j}"))]
         )
-    arrows = [(a.name, a.src, a.tgt, a.deg) for a in base.arrows]
     return QuiverPresentation(
-        "Y2_P3_COMPLETED", base.vertices, arrows, base.relations + extra
+        "Y2_P3_COMPLETED", base.vertices, base.arrows, base.relations + extra
     )
 
 
@@ -687,6 +681,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     Builds the whole quotient first, then iterates minimal projective
     covers of syzygies, spending on from the quotient's work; the
     multiplicity of the projective at w in stage n is dim Ext^n(L_v, L_w).
+    Stage 0 is L_v itself, so one loop records every stage, Ext^0 included.
     ``complete[v]`` distinguishes a terminated resolution from max_n
     running out.
 
@@ -698,7 +693,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     lower pieces already span it, no elimination over the piece is needed,
     and the last stage is decided by counting alone.
 
-    Cover copies are numbered downward: the simple's cover is copy 0 and
+    Cover copies are numbered downward: the cover of stage 0 is copy 0 and
     each later cover takes the next lower numbers, so the keys of the module
     resolved sort below those of its image.  A piece eliminates its radical,
     then each row as its image plus its own key; ``reduce_row`` leads with
@@ -787,25 +782,20 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
         return kernel, top
 
     for v in pres.vertices:
-        dims[(v, v, 0)] = dims.get((v, v, 0), 0) + 1
-        # the cover of the simple at v sends everything of positive degree to 0
-        rows: dict = {}
-        for bidx in ids_from[v]:
-            if quo.deg[bidx] > 0:
-                rows.setdefault((quo.deg[bidx], quo.tgt[bidx]), []).append(((0, bidx), {}))
-        image_dims: dict = {}
-        complete[v] = not rows
-        n = low = 0
-        while n < max_n and not complete[v]:
-            kernel, top = kernel_and_top(rows, image_dims, f"vertex {v!r} at stage {n + 1}")
-            n += 1
+        # stage 0: the simple at v, one generator whose image is its one dimension
+        top, image_dims = [(v, 0, {})], {(0, v): 1}
+        n, low = 0, 1
+        while True:
             for w, _, _ in top:
                 dims[(v, w, n)] = dims.get((v, w, n), 0) + 1
-            image_dims = {piece: len(basis) for piece, basis in kernel.items()}
             # the new cover is onto the kernel, and injective when no larger
             cover_dim = sum(len(ids_from[w]) for w, _, _ in top)
             complete[v] = cover_dim == sum(image_dims.values())
-            if n < max_n and not complete[v]:
-                rows = cover_rows(top, low, f"vertex {v!r} at stage {n}")
-                low -= len(top)
+            if n >= max_n or complete[v]:
+                break
+            rows = cover_rows(top, low, f"vertex {v!r} at stage {n}")
+            low -= len(top)
+            n += 1
+            kernel, top = kernel_and_top(rows, image_dims, f"vertex {v!r} at stage {n}")
+            image_dims = {piece: len(basis) for piece, basis in kernel.items()}
     return ExtReport(pres.name, max_n, dims, complete)

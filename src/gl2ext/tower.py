@@ -82,11 +82,13 @@ def tensor_mult(p: int, a: TensorMonomial, b: TensorMonomial) -> Optional[Signed
 
 def weight(p: int, m: TensorMonomial) -> tuple[int, ...]:
     """Weight vector (e_l(b1), e_l(b2)-e_r(b1), ..., z-e_r(bq)) of length q+1."""
-    degrees = [bidegree(p, f) for f in m.factors]
-    entries = [degrees[0].e_l]
-    for prev, cur in zip(degrees, degrees[1:]):
-        entries.append(cur.e_l - prev.e_r)
-    entries.append(m.z - degrees[-1].e_r)
+    entries = []
+    e_r = 0  # the coupling before the first factor: no factors weigh (z,)
+    for f in m.factors:
+        d = bidegree(p, f)
+        entries.append(d.e_l - e_r)
+        e_r = d.e_r
+    entries.append(m.z - e_r)
     return tuple(entries)
 
 

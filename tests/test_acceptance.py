@@ -6,10 +6,8 @@ Run with ``pytest -s tests/test_acceptance.py -v`` to see the lines, or use
 """
 
 import time
-from collections import Counter
 
-from gl2ext import oracle, series, tower, verify
-from gl2ext.paths import omega_basis
+from gl2ext import verify
 
 
 def _report(name: str, ok: bool, started: float, budget: float, detail: str = ""):
@@ -76,14 +74,3 @@ def test_supporting_calibration_of_vertex_tuples():
     check = verify.check_calibration()
     _report("calibration of vertex tuples", check.ok, started, 30.0, check.detail)
 
-
-def test_supporting_details():
-    # a few spot identities quoted alongside the criteria
-    assert len(omega_basis(2)) == 5
-    assert series.lambda_q_series(2, 1) == {0: 2, 1: 2, 2: 1}
-    basis = tower.enumerate_weight_zero(3, 2)
-    assert sum(1 for m in basis if m.z == 0) == 9
-    ext = oracle.ext_dims(oracle.builtin_presentation("C", 2), 3)
-    assert ext.degree_totals() == dict(
-        Counter(m.z for m in tower.enumerate_weight_zero(2, 1))
-    )

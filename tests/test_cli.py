@@ -634,32 +634,42 @@ def test_non_integer_argument_is_named_as_such(capsys):
         assert "must be a non-negative integer, got 'x'" in err
 
 
-def test_verify_fast_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "fast", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ok"] is True
-    assert all(check["ok"] for check in payload["checks"])
-
-
-def test_verify_corrupted_presentation_fails_with_named_check(capsys, monkeypatch):
+def _failing_checks_with(capsys, monkeypatch, name, p, relations):
+    """The failing (name, detail) checks of ``verify --suite fast`` when the builtin
+    ``name``, at ``p`` unless p is None, has the relations ``relations(pres.relations)``."""
     builtin = oracle.builtin_presentation
 
-    def corrupted(name, p=None):
-        """The builtin, with the last relation of C dropped."""
-        pres = builtin(name, p)
-        if name != "C":
+    def corrupted(n, q=None):
+        pres = builtin(n, q)
+        if n != name or p not in (None, q):
             return pres
-        arrows = [(a.name, a.src, a.tgt, a.deg) for a in pres.arrows]
-        return oracle.QuiverPresentation(pres.name, pres.vertices, arrows, pres.relations[:-1])
+        return oracle.QuiverPresentation(pres.name, pres.vertices, pres.arrows, relations(pres.relations))
 
     monkeypatch.setattr(oracle, "builtin_presentation", corrupted)
     code, out, _ = run(capsys, "verify", "--suite", "fast", "--format", "json")
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
-    failing = [check["name"] for check in payload["checks"] if not check["ok"]]
-    assert failing == ["oracle_concordance_q1"]
+    return [(check["name"], check["detail"]) for check in payload["checks"] if not check["ok"]]
+
+
+def test_verify_corrupted_presentation_fails_with_named_check(capsys, monkeypatch):
+    # C without its last relation: the quotient is infinite, and the work budget refuses it
+    failing = _failing_checks_with(capsys, monkeypatch, "C", None, lambda rels: rels[:-1])
+    assert [name for name, _ in failing] == ["oracle_concordance_q1"]
+
+
+def test_verify_compares_ext_with_the_series(capsys, monkeypatch):
+    def drop_xi1_xi2(rels):
+        assert rels[0] == [(1, ("xi1", "xi2"))]
+        return rels[1:]
+
+    # C(3) without xi1 xi2 = 0: the quotient stays finite, and the comparison fails
+    failing = _failing_checks_with(capsys, monkeypatch, "C", 3, drop_xi1_xi2)
+    assert failing == [(
+        "oracle_concordance_q1",
+        "p=3: ext {0: 3, 1: 4, 2: 3, 3: 1} vs series {0: 3, 1: 4, 2: 4, 3: 2, 4: 1}",
+    )]
 
 
 @pytest.mark.parametrize("suite", ["fast", "full"])

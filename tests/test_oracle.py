@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -533,3 +535,74 @@ def test_normal_words_extend_their_parent_by_one_arrow():
 def test_y2_completed_ext_degree_totals():
     ext = ext_dims(builtin_presentation("Y2_P3_COMPLETED"), 6)
     assert ext.degree_totals() == {0: 9, 1: 32, 2: 64, 3: 100, 4: 156, 5: 248, 6: 395}
+
+
+# sha256 of each builtin's dumps() and of its ``oracle ext`` JSON, to n = 2p
+# (n = 6 for the Y2 pair), recorded before the line quivers shared one builder
+# and the simple became stage 0 of the resolution.
+BUILTIN_DIGESTS = {
+    ("OMEGA", 2): (
+        "4b9bc4b739933fde8cf921a3634929219a6d8a60bd567381930d7d3245d08fc6",
+        "c6a257d5cad1a4ea21118f8d7f47973341f7df1707904aa12c0fdf7c7ca08b4b",
+    ),
+    ("OMEGA", 3): (
+        "57e662a2ca2ee75c801a1f04ea7de75a4c9804e8414537244150e3b4213a42e2",
+        "f2b3f60a97deced7dd3eb171c535909587be158855956a4d92672874d8ea1c53",
+    ),
+    ("OMEGA", 5): (
+        "c4aef87d9306a139aa1e9f49d632c6170c219fbf6db61f2fe8ec2698ddfeb00e",
+        "9928e423391d174739251031c9c815b0fee3e783836329106e8e780516560f35",
+    ),
+    ("OMEGA", 7): (
+        "37d1b00e908d554b364d70a6dfb424bed9a228c357f2dba750d2ec4071173268",
+        "562de4243f4d073583fb1eee460411f416307650ab458ea7bdf032f62f27f020",
+    ),
+    ("THETA", 2): (
+        "51d02c0b27a0f3ee89b3d6a32569f4491cab6de96eddb968210ace48ced73770",
+        "cdc9e2e46a44f8e2cd51e31299b7a8e5415b94fbb5f9a3c5642efce01206104c",
+    ),
+    ("THETA", 3): (
+        "1592f45e6ebf2b7a69c7df1d164b492f96e5ca5f07558cec0662eb2d2c6e1714",
+        "22b4f501d31a03edc211125ea32504c979b0c53ea5ae152c6ce33e9b83acaf37",
+    ),
+    ("THETA", 5): (
+        "e31f04a60cfe9e58bdc667db45213c19d117f52a35d5612e8f99f2c667930a4f",
+        "3aad91ec2f69d26dfa9247a8ea1c977d074201b5fee5bf86e8805c60ac9fe312",
+    ),
+    ("THETA", 7): (
+        "427046e2a31f2dba0b24cf0293e30b73a23f11a28dc75be0c3514c3b24e02e34",
+        "78ab66784ccc39fe43140afaa8ac6c34d6fe7faf72cdc31e05526f7f9e79d091",
+    ),
+    ("C", 2): (
+        "897d4d910dbf385efc516894b049eed654df7a40ae1eaf3df0bd8bb1692ba3e2",
+        "6e72c5c45be5d03ea9ca2ef70205492cb73f7ba359acf9ad6a2dc38900c21a06",
+    ),
+    ("C", 3): (
+        "0d981cee4e375faad3049970bb039b19cbddcc9b7c05b01d3ede598e549ffbb2",
+        "0a11b1aa5d526c2b4c1885d589f970fdb2f6159bef3c3937617df78e991f1450",
+    ),
+    ("C", 5): (
+        "fc988d2d17ca74e6557fc860b04da0b7a6b87190a2e3ffe299fffb6696c256af",
+        "7a2b9af7c47293eb46118fe314284813f49ce3da8048bbbe2f9f2cd472f26f19",
+    ),
+    ("C", 7): (
+        "28e59f47f03852029e7df793c0ad115fcd3ecfb8f66403d69b2c2ab2648f6e85",
+        "431c53b7b5e859f08f2a916b0289988487f9d631ef441726be0bbd2f3efa52c0",
+    ),
+    ("Y2_P3", None): (
+        "8af629ac7a9a3447a4e8816e2bf115b49e396dcd3ba4ff1f7d1a745cd7c2830d",
+        "4763756faed9c246b9a2fbae2d95c699c7230a25074c925b22244921e1e0fe67",
+    ),
+    ("Y2_P3_COMPLETED", None): (
+        "6b7c3c683b9dc1d7d71f292d0af52ee44823cb9849b4c8878ee1ec39d79195be",
+        "6a5d3d64339cd51a6e33e7df912ef685b4ff44c6a31e689b5217d9fb2d1cea21",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, p", list(BUILTIN_DIGESTS))
+def test_builtins_keep_their_bytes(name, p):
+    pres = builtin_presentation(name, p)
+    ext = ext_dims(pres, 6 if p is None else 2 * p)
+    texts = (pres.dumps(), json.dumps(ext.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == BUILTIN_DIGESTS[name, p]
