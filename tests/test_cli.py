@@ -708,6 +708,41 @@ def test_verify_keeps_its_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[command]
 
 
+def test_a_verify_child_leaves_no_process_behind():
+    """The property suite's forked helper ends within the run and writes nothing of its own."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gl2ext", "verify", "--suite", "fast"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        start_new_session=True,
+    )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == VERIFY_DIGESTS["verify --suite fast"]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the child led its own process group
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_verify_read_in_part_ends_quietly(unbuffered):
+    """``verify --suite fast | head -1``."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "gl2ext", "verify", "--suite", "fast"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(PYTHONUNBUFFERED=unbuffered),
+    ) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b"PASS ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        finally:
+            proc.kill()
+    assert err == b""
+
+
 def test_record_round_trips():
     for p, q in ((2, 1), (3, 2)):
         for m in enumerate_weight_zero(p, q):

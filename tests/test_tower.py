@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 from collections import Counter
 
@@ -271,12 +272,19 @@ def test_the_property_suite_multiplies_every_pair(monkeypatch):
 
     monkeypatch.setattr(verify, "lambda_mult", counted(lambda_mult, layer, lambda p, x: p))
     monkeypatch.setattr(tower, "tensor_mult", counted(tensor_mult, towers, lambda p, a: (p, len(a.factors))))
-    # with ps = (5,), every product at p = 2 or 3 is one of the exhaustive closure's
-    assert verify.check_property_suite(random_rounds=2, ps=(5,), q_max=1).ok
+    # the sweeps, called in this process so that the counters see them; with
+    # ps = (5,), every product at p = 2 or 3 is one of the exhaustive closure's
+    problems, swept = verify._property_sweeps((5,))
+    assert problems == []
     assert layer == {5: len(_layer_pool(5)) ** 2}  # the layer closure alone calls verify.lambda_mult
     assert {key: n for key, n in towers.items() if key[0] != 5} == {
         (p, q): len(enumerate_weight_zero(p, q)) ** 2 for p in (2, 3) for q in (1, 2)
     }
+    # the suite counts what its two halves check
+    _, drawn = verify._property_draws(2, (5,), 1)
+    assert verify.check_property_suite(random_rounds=2, ps=(5,), q_max=1) == (
+        "property_suite", True, f"{swept + drawn} property instances checked"
+    )
 
 
 def test_the_product_memo_cannot_hide_a_failure(monkeypatch):
@@ -294,6 +302,80 @@ def test_the_product_memo_cannot_hide_a_failure(monkeypatch):
     assert verify.check_property_suite(**args) == (
         "property_suite", False, f"closure fails: {x} * {y} -> {target}"
     )
+
+
+def test_the_sweeps_problem_comes_first(monkeypatch):
+    """When both halves of the suite fail, the detail is the layer closure's, as in one serial run."""
+    args = {"random_rounds": 2, "ps": (2,), "q_max": 1}
+    monkeypatch.setattr(tower, "is_weight_zero_basis_element", lambda p, m: False)
+    detail = verify.check_property_suite(**args).detail
+    assert detail.startswith(("random closure fails", "embed leaves the basis"))  # the draws fail alone
+    monkeypatch.setattr(verify, "is_valid", lambda p, e: False)
+    pool = _layer_pool(2)
+    x, y, r = next((x, y, r) for x in pool for y in pool if (r := lambda_mult(2, x, y)) is not None)
+    assert verify.check_property_suite(**args) == ("property_suite", False, f"closure fails: {x} * {y} -> {r}")
+
+
+def test_an_error_in_the_sweeps_fails_the_check(monkeypatch):
+    def broken(ps):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(verify, "_property_sweeps", broken)
+    check = verify.check_property_suite(random_rounds=2, ps=(2,), q_max=1)
+    assert check == ("property_suite", False, "error: broken on purpose")
+
+
+def _in_this_process(call):
+    """``call()``; a forked helper that comes back into this test ends here, with code 99."""
+    pid = os.getpid()
+    try:
+        return call()
+    finally:
+        if os.getpid() != pid:
+            os._exit(99)
+
+
+def test_the_helper_sends_its_value_back():
+    (helper_pid, words), here = _in_this_process(
+        lambda: verify._with_helper(lambda: (os.getpid(), ["sent", 3]), os.getpid)
+    )
+    assert (here, words) == (os.getpid(), ["sent", 3])
+    assert helper_pid != here
+
+
+@pytest.mark.parametrize("escape", [SystemExit(0), KeyboardInterrupt()], ids=repr)
+def test_the_helper_never_returns_into_the_caller(escape):
+    def helper():
+        raise escape
+
+    pid = os.getpid()
+    with pytest.raises(RuntimeError, match="^helper exited with code 1$"):
+        _in_this_process(lambda: verify._with_helper(helper, lambda: None))
+    assert os.getpid() == pid
+
+
+def _raises(message):
+    def fail():
+        raise ValueError(message)
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "helper, here, raised",
+    [
+        (list, _raises("here"), (ValueError, "here")),
+        (_raises("helper"), list, (RuntimeError, "helper")),
+        (_raises("helper"), _raises("here"), (RuntimeError, "helper")),
+    ],
+    ids=["here-fails", "helper-fails", "both-fail"],
+)
+def test_the_helper_is_reaped_whichever_half_fails(helper, here, raised):
+    """The helper's error comes first, and no child is left behind."""
+    with pytest.raises(raised[0], match=f"^{raised[1]}$"):
+        _in_this_process(lambda: verify._with_helper(helper, here))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_tensor_mult_looks_up_lambda_mult_once_per_slot(monkeypatch):
