@@ -11,12 +11,14 @@ presentations used for cross-validation, and an Ext computation by
 iterated minimal projective covers over the (finite-dimensional) quotient
 algebra.
 
-Rows are sparse dicts with one update, ``_add_scaled`` (but for the loop
-in ``ext_dims`` that re-keys module vectors as it adds), and one
-elimination, ``reduce_row``.  The build visits
-only the degrees that can hold a candidate word and ends when none is left,
-exactly when the quotient is finite.  One budget, ``MAX_WORK``, spent
-before what it counts is built, bounds each call: ``WorkLimitError``.
+Rows are sparse dicts with int or Fraction coefficients, exact from the
+boundary on: one update, ``_add_scaled``, one arrow action,
+``GradedQuotient.mul``, and one elimination, ``reduce_row``.  A vector of
+the quotient or of a module over it is keyed by one int, copy * N + basis
+id.  The build visits only the degrees that can hold a candidate word and
+ends when none is left, exactly when the quotient is finite.  One budget,
+``MAX_WORK``, spent before what it counts is built, bounds each call:
+``WorkLimitError``.
 
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple, Optional
 
 PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
@@ -54,11 +57,11 @@ class Arrow(NamedTuple):
     deg: int
 
 
-Relation = list[tuple[Fraction, tuple[str, ...]]]
+Relation = list[tuple["int | Fraction", tuple[str, ...]]]
 
 
-def _coefficient(value) -> Fraction:
-    """A relation coefficient as a Fraction; ``"1/0"`` is a ValueError.
+def _coefficient(value) -> "int | Fraction":
+    """A relation coefficient, an int when it is integral; ``"1/0"`` is a ValueError.
 
     So are exponents, which ``Fraction`` expands (``"1e4000000"`` takes
     seconds), and floats and booleans: a JSON ``0.3`` is a binary float, not
@@ -69,7 +72,7 @@ def _coefficient(value) -> Fraction:
     if isinstance(value, str) and "e" in value.lower():
         raise ValueError(f"bad coefficient {value!r}: exponents are not accepted")
     try:
-        return Fraction(value)
+        return _exact(Fraction(value))
     except ZeroDivisionError as exc:
         raise ValueError(f"bad coefficient {value!r}: {exc}") from None
 
@@ -93,12 +96,13 @@ class QuiverPresentation:
         ):
             raise ValueError("vertices must be a list of distinct strings")
         self.vertices = list(vertices)
+        known = set(self.vertices)
         self.arrows = [Arrow(*a) for a in arrows]
         for a in self.arrows:
             # a bool is an int to Python, but true is not a degree
             if not all(type(field) is str for field in a[:3]) or type(a.deg) is not int:
                 raise ValueError(f"arrow {a.name!r}: name, src and tgt must be strings, deg an integer")
-            if a.src not in self.vertices or a.tgt not in self.vertices:
+            if a.src not in known or a.tgt not in known:
                 raise ValueError(f"arrow {a.name!r} has an unknown endpoint")
             if a.deg < 1:
                 raise ValueError(f"arrow {a.name!r} must have positive degree")
@@ -190,43 +194,40 @@ def _line_quiver(n: int, up: str, down: str) -> tuple[list[str], list[tuple]]:
 
 def _omega_presentation(p: int) -> QuiverPresentation:
     """Closed strip on vertices 1..p: commuting loops, dead up-loop at 1."""
-    one = Fraction(1)
-    relations: list[Relation] = [[(one, ("x1", "y1"))]]
+    relations: list[Relation] = [[(1, ("x1", "y1"))]]
     for l in range(1, p - 1):
         # down-loop equals up-loop at vertex l+1
         relations.append(
-            [(one, (f"y{l}", f"x{l}")), (-one, (f"x{l + 1}", f"y{l + 1}"))]
+            [(1, (f"y{l}", f"x{l}")), (-1, (f"x{l + 1}", f"y{l + 1}"))]
         )
     return QuiverPresentation(f"OMEGA({p})", *_line_quiver(p, "x", "y"), relations)
 
 
 def _theta_presentation(p: int) -> QuiverPresentation:
     """Open strip on vertices 1..p-1: both boundary loops die."""
-    one = Fraction(1)
     relations: list[Relation] = []
     for v in range(1, p):
         up = (f"x{v}", f"y{v}") if v <= p - 2 else None
         down = (f"y{v - 1}", f"x{v - 1}") if v >= 2 else None
         if up and down:
-            relations.append([(one, up), (-one, down)])
+            relations.append([(1, up), (-1, down)])
         elif up:
-            relations.append([(one, up)])
+            relations.append([(1, up)])
         elif down:
-            relations.append([(one, down)])
+            relations.append([(1, down)])
     return QuiverPresentation(f"THETA({p})", *_line_quiver(p - 1, "x", "y"), relations)
 
 
 def _c_presentation(p: int) -> QuiverPresentation:
     """Zigzag-type subquotient on vertices 1..p (squares die, loops anti-commute)."""
-    one = Fraction(1)
     relations: list[Relation] = []
     for l in range(1, p - 1):
-        relations.append([(one, (f"xi{l}", f"xi{l + 1}"))])
-        relations.append([(one, (f"eta{l + 1}", f"eta{l}"))])
+        relations.append([(1, (f"xi{l}", f"xi{l + 1}"))])
+        relations.append([(1, (f"eta{l + 1}", f"eta{l}"))])
         relations.append(
-            [(one, (f"eta{l}", f"xi{l}")), (one, (f"xi{l + 1}", f"eta{l + 1}"))]
+            [(1, (f"eta{l}", f"xi{l}")), (1, (f"xi{l + 1}", f"eta{l + 1}"))]
         )
-    relations.append([(one, (f"eta{p - 1}", f"xi{p - 1}"))])
+    relations.append([(1, (f"eta{p - 1}", f"xi{p - 1}"))])
     return QuiverPresentation(f"C({p})", *_line_quiver(p, "xi", "eta"), relations)
 
 
@@ -264,14 +265,13 @@ def _y2_p3_presentation() -> QuiverPresentation:
         for j in (1, 2, 3):
             arrows.append((f"be{i}{j}", v(i, j), v(i - 1, j), 3))
 
-    one = Fraction(1)
     R: list[Relation] = []
 
     def comm(path1, path2):
-        R.append([(one, tuple(path1)), (-one, tuple(path2))])
+        R.append([(1, tuple(path1)), (-1, tuple(path2))])
 
     def dead(path):
-        R.append([(one, tuple(path))])
+        R.append([(1, tuple(path))])
 
     # commuting squares and loops where both routes exist
     for i in (1, 2, 3):
@@ -336,14 +336,13 @@ def _y2_p3_completed_presentation() -> QuiverPresentation:
     block, not just the column at (1,1).
     """
     base = _y2_p3_presentation()
-    one = Fraction(1)
     extra: list[Relation] = []
     for j in (1, 2):
         extra.append(
-            [(one, (f"be2{j}", f"f1{j}")), (-one, (f"al2{j}", f"g3{j}"))]
+            [(1, (f"be2{j}", f"f1{j}")), (-1, (f"al2{j}", f"g3{j}"))]
         )
         extra.append(
-            [(one, (f"be3{j}", f"f2{j}")), (-one, (f"g3{j}", f"al2{3 - j}"))]
+            [(1, (f"be3{j}", f"f2{j}")), (-1, (f"g3{j}", f"al2{3 - j}"))]
         )
     return QuiverPresentation(
         "Y2_P3_COMPLETED", base.vertices, base.arrows, base.relations + extra
@@ -383,7 +382,7 @@ def builtin_presentation(name: str, p: Optional[int] = None) -> QuiverPresentati
 
 # -- sparse exact elimination ------------------------------------------------
 
-Row = dict  # path tuple (or generic hashable key) -> int or Fraction
+Row = dict  # candidate (basis id, arrow), int vector key or other hashable -> int or Fraction
 
 
 def _exact(x):
@@ -402,9 +401,11 @@ def _div(a, b):
     return _exact(Fraction(a, b))
 
 
-def _add_scaled(dst: Row, coeff, src: Row) -> None:
-    """``dst += coeff * src`` in place, dropping the entries that cancel."""
+def _add_scaled(dst: Row, coeff, src: Row, shift: int = 0) -> None:
+    """``dst += coeff * src`` in place, dropping the entries that cancel; ``shift`` moves int keys."""
     for key, c in src.items():
+        if shift:
+            key += shift
         val = dst.get(key, 0) + coeff * c
         if val:
             dst[key] = val
@@ -529,7 +530,9 @@ class GradedQuotient:
     a pivot of the relation span survives.  They are closed under prefixes,
     so each is stored once, as its ``parent`` word and its ``last`` arrow,
     and ``word`` spells it out.  This is the one engine behind
-    ``quotient_basis`` and ``ext_dims``.
+    ``quotient_basis`` and ``ext_dims``, and ``mul`` is the one arrow
+    action: on a vector of basis ids, or on a module vector of ``ext_dims``
+    keyed copy * N + basis id, N the number of basis words.
 
     Once degree d is built, every word of degree <= d is final, so the build
     jumps to the least deg w + deg a over the kept words w and the arrows a
@@ -548,7 +551,9 @@ class GradedQuotient:
         self.parent: list[Optional[int]] = []
         self.by_deg_tgt: dict = {}
         self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: int or Fraction}
-        self.out_degrees = {v: {a.deg for a in pres.arrows if a.src == v} for v in pres.vertices}
+        self.out_degrees: dict = {v: set() for v in pres.vertices}
+        for a in pres.arrows:
+            self.out_degrees[a.src].add(a.deg)
         self.work = 0  # units spent against MAX_WORK
         self._build(max_degree)
 
@@ -586,20 +591,21 @@ class GradedQuotient:
             idx = self.parent[idx]
         return tuple(reversed(arrows))
 
+    def mul(self, vec: dict, arrow: str) -> dict:
+        """``vec`` times ``arrow``: key copy * len(self.src) + basis id keeps its image in its copy."""
+        size = len(self.src)
+        out: dict = {}
+        for key, c in vec.items():
+            bidx = key % size
+            _add_scaled(out, c, self.rmul[(bidx, arrow)], key - bidx)
+        return out
+
     def mul_vector_by_path(self, vec: dict, path: tuple[str, ...]) -> dict:
-        for arrow in path:
-            out: dict = {}
-            for idx, c in vec.items():
-                _add_scaled(out, c, self.rmul[(idx, arrow)])
-            vec = out
-        return vec
+        return reduce(self.mul, path, vec)
 
     def _build(self, max_degree: Optional[int]) -> None:
         pres = self.pres
-        relations = [
-            (sig, [(_exact(c), path) for c, path in rel])
-            for sig, rel in zip(pres.signatures, pres.relations)
-        ]
+        relations = list(zip(pres.signatures, pres.relations))
         reach: set = set()  # the degrees deg w + deg a not yet built
         for v in pres.vertices:
             self._add_element(v, v, 0)
@@ -685,23 +691,25 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     ``complete[v]`` distinguishes a terminated resolution from max_n
     running out.
 
-    A module vector maps (cover copy, basis id) to its coefficient, and a
-    piece is a (degree, vertex) homogeneous component.  The image of a
-    generator along a normal word is its image along the word's parent
-    times the last arrow.  A cover is onto the previous kernel, so each
-    piece of its kernel has a known dimension: when the arrow images of the
-    lower pieces already span it, no elimination over the piece is needed,
-    and the last stage is decided by counting alone.
+    A module vector maps copy * N + basis id to its coefficient, N being the
+    number of basis words, and a piece is a (degree, vertex) homogeneous
+    component.  The image of a generator along a normal word is its image
+    along the word's parent times the last arrow (``GradedQuotient.mul``).
+    A cover is onto the previous kernel, so each piece of its kernel has a
+    known dimension: when the arrow images of the lower pieces already span
+    it, no elimination over the piece is needed, and the last stage is
+    decided by counting alone.
 
     Cover copies are numbered downward: the cover of stage 0 is copy 0 and
     each later cover takes the next lower numbers, so the keys of the module
-    resolved sort below those of its image.  A piece eliminates its radical,
-    then each row as its image plus its own key; ``reduce_row`` leads with
-    the largest key, so a row led by an own key has no image left: it is a
-    kernel vector outside the span so far, a new generator.
+    resolved sort below those of its image, as the pairs (copy, basis id)
+    would.  A piece eliminates its radical, then each row as its image plus
+    its own key; ``reduce_row`` leads with the largest key, so a row led by
+    an own key has no image left: it is a kernel vector outside the span so
+    far, a new generator.
     """
     quo = GradedQuotient(pres)
-    rmul = quo.rmul
+    size = len(quo.src)
     arrows_into: dict = {v: [] for v in pres.vertices}
     for a in pres.arrows:
         arrows_into[a.tgt].append(a)
@@ -711,18 +719,6 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
     dims: dict = {}
     complete: dict = {}
 
-    def module_mul_arrow(vec, arrow):
-        out: dict = {}
-        for (copy, bidx), c in vec.items():
-            for jdx, c2 in rmul[(bidx, arrow)].items():
-                key = (copy, jdx)
-                val = out.get(key, 0) + c * c2
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return out
-
     def cover_rows(top, low, at):
         """Per piece, each element of the cover of ``top`` (copies below ``low``) with its image."""
         rows: dict = {}
@@ -730,10 +726,10 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
             img_of: dict = {}
             for bidx in ids_from[w]:
                 parent = quo.parent[bidx]
-                img = gvec if parent is None else module_mul_arrow(img_of[parent], quo.last[bidx])
+                img = gvec if parent is None else quo.mul(img_of[parent], quo.last[bidx])
                 img_of[bidx] = img
                 piece = (shift + quo.deg[bidx], quo.tgt[bidx])
-                rows.setdefault(piece, []).append(((copy, bidx), img))
+                rows.setdefault(piece, []).append((copy * size + bidx, img))
             quo.spend(sum(1 + len(img) for img in img_of.values()), lambda: at)
         return rows
 
@@ -752,7 +748,7 @@ def ext_dims(pres: QuiverPresentation, max_n: int) -> ExtReport:
                 continue
             d, w = piece
             radical = (
-                module_mul_arrow(vec, a.name)
+                quo.mul(vec, a.name)
                 for a in arrows_into[w]
                 for vec in kernel.get((d - a.deg, a.src), ())
             )

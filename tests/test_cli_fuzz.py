@@ -10,6 +10,7 @@ import tempfile
 
 import pytest
 
+from gl2ext import oracle
 from gl2ext.cli import factor_record, main, tensor_from_record
 from gl2ext.oracle import QuiverPresentation
 
@@ -25,9 +26,8 @@ def presentations(draw):
 
     The quiver is acyclic apart from at most one loop, so its quotient has
     polynomially many words per degree.  ``oracle ext`` builds an infinite
-    quotient until it spends ``oracle.MAX_WORK``: a lone loop, at 64 units a
-    degree, is refused at degree 312,501 after about two seconds, and each
-    such example costs that much.  Most relations are homogeneous
+    quotient until it spends ``oracle.MAX_WORK``, which the test that runs
+    ``oracle`` lowers to ``WORK``.  Most relations are homogeneous
     combinations of composable paths; a few are junk.  Arrow names are one
     letter, so a path spelled as one string iterates to the same names.
     """
@@ -105,12 +105,17 @@ def _well_typed(payload) -> bool:
 
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+# the oracle test's work budget: its finite quotients spend at most 165 units,
+# and a lone loop is refused at degree 157, where the real budget
+# (test_oracle.py::test_ext_rejects_nonfinite) runs it to degree 312,501
+WORK = 10_000
 
 
 @FUZZ
 @given(presentations(), st.integers(0, 3), st.integers(0, 4))
 def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "MAX_WORK", WORK)
         path = os.path.join(tmp, "pres.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
