@@ -16,7 +16,6 @@ module is imported, and its code runs on first use.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import io
 import json
@@ -129,6 +128,8 @@ def _emit_json_list(key: str, items: Iterable, rest: dict) -> None:
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     """Write the header and the rows as ``csv.writer`` lines, a batch of rows per write."""
+    import csv  # only a --format csv run loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -16,9 +16,11 @@ boundary on: one update, ``_add_scaled``, one arrow action,
 ``GradedQuotient.mul``, and one elimination, ``reduce_row``.  A vector of
 the quotient or of a module over it is keyed by one int, copy * N + basis
 id.  The build visits only the degrees that can hold a candidate word and
-ends when none is left, exactly when the quotient is finite.  One budget,
+ends when none is left, exactly when the quotient is finite; given a source
+vertex, it builds only the words that start there.  One budget,
 ``MAX_WORK``, spent before what it counts is built, bounds each call:
-``WorkLimitError``.
+``WorkLimitError``.  Only a coefficient or quotient that is not an int
+loads ``fractions``.
 
 Path convention, fixed everywhere including emitted files:
 ``path [a, b] means: first traverse a, then b``.
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple, Optional
 
@@ -38,7 +39,8 @@ PATH_CONVENTION = "path [a, b] means: first traverse a, then b"
 # 32 per degree (its lists and blocks) and one per relation row before a degree
 # is built; in ``quotient_basis`` 4 per listed zero degree; in ``ext_dims`` one
 # per element and entry of each image and eliminated row.  A candidate holds
-# 250 to 500 bytes, so a unit holds 8 to 16.
+# 250 to 500 bytes, so a unit holds 8 to 16.  ``builtin_presentation`` counts
+# 32 per arrow of a line quiver before building it.
 MAX_WORK = 20_000_000
 
 
@@ -69,8 +71,12 @@ def _coefficient(value) -> "int | Fraction":
     """
     if isinstance(value, (float, bool)):
         raise ValueError(f'bad coefficient {value!r}: give an integer or a string such as "0.3"')
+    if type(value) is int:
+        return value
     if isinstance(value, str) and "e" in value.lower():
         raise ValueError(f"bad coefficient {value!r}: exponents are not accepted")
+    from fractions import Fraction  # loaded only for a coefficient that is not an int
+
     try:
         return _exact(Fraction(value))
     except ZeroDivisionError as exc:
@@ -369,11 +375,13 @@ def builtin_presentation(name: str, p: Optional[int] = None) -> QuiverPresentati
         from .paths import require_prime
 
         require_prime(p)
-        if name == "OMEGA":
-            return _omega_presentation(p)
-        if name == "THETA":
-            return _theta_presentation(p)
-        return _c_presentation(p)
+        arrows = 2 * (p - (2 if name == "THETA" else 1))
+        if 32 * arrows > MAX_WORK:  # their candidates at degree 1 alone pass the budget
+            raise WorkLimitError(
+                f"{name}({p}) has {arrows} arrows, {32 * arrows} units at 32 each, past the limit of "
+                f"{MAX_WORK} (oracle.MAX_WORK), so it is refused before it is built"
+            )
+        return {"OMEGA": _omega_presentation, "THETA": _theta_presentation, "C": _c_presentation}[name](p)
     raise UnknownPresentationError(
         f"unknown presentation {name!r}; expected Y2_P3, Y2_P3_COMPLETED, "
         f"OMEGA, THETA or C"
@@ -386,18 +394,20 @@ Row = dict  # candidate (basis id, arrow), int vector key or other hashable -> i
 
 
 def _exact(x):
-    """``x`` as an ``int`` when it is integral, else unchanged."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+    """``x``, an int or a Fraction, as an ``int`` when it is integral, else unchanged."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def _div(a, b):
     """Exact quotient of ints or Fractions: ``a // b`` when b divides a, else a Fraction.
 
     The one division of the elimination code, so ``int / int`` (a float)
-    never happens and integral values stay ``int``.
+    never happens and integral values stay ``int``, with no ``fractions`` loaded.
     """
     if type(a) is int and type(b) is int and not a % b:
         return a // b
+    from fractions import Fraction
+
     return _exact(Fraction(a, b))
 
 
@@ -484,18 +494,17 @@ def quotient_basis(
 
     A report over ``GradedQuotient`` built up to ``max_degree``: one block
     per (source, target, degree), listing the quotient's normal words when
-    ``with_paths`` is set.  Passing ``source`` restricts the report to the
-    column of paths starting there.
+    ``with_paths`` is set.  Passing ``source`` builds and reports only the
+    column of paths starting there; ``stabilized`` is the engine's either way.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if source is not None and source not in pres.vertices:
         raise ValueError(f"unknown source vertex {source!r}")
-    quo = GradedQuotient(pres, max_degree=max_degree)
-    column = [idx for idx, src in enumerate(quo.src) if source is None or src == source]
+    quo = GradedQuotient(pres, max_degree=max_degree, source=source)
     blocks: dict = {}
-    for idx in column:
-        blocks.setdefault((quo.src[idx], quo.tgt[idx], quo.deg[idx]), []).append(idx)
+    for idx, block in enumerate(zip(quo.src, quo.tgt, quo.deg)):
+        blocks.setdefault(block, []).append(idx)
     dims = {block: len(ids) for block, ids in sorted(blocks.items())}
     basis_paths = (
         {block: sorted(map(quo.word, ids)) for block, ids in sorted(blocks.items())}
@@ -507,11 +516,8 @@ def quotient_basis(
     # a listed degree holds about 36 bytes: a list slot and an int
     quo.spend(4 * zeros, lambda: f"the report lists {zeros} zero degrees up to degree {max_degree}")
     zero_degrees = [d for d in range(1, max_degree + 1) if d not in live]
-    # not quo.stabilized: a column (``source``) can stabilize before the quotient
-    out = quo.out_degrees
-    stabilized = all(quo.deg[i] + e <= max_degree for i in column for e in out[quo.tgt[i]])
     return GradedBasisReport(
-        pres.name, max_degree, dims, basis_paths, zero_degrees, stabilized
+        pres.name, max_degree, dims, basis_paths, zero_degrees, quo.stabilized
     )
 
 
@@ -539,9 +545,15 @@ class GradedQuotient:
     out of their targets: a degree with no candidate has no relation row
     either.  It stops past ``max_degree`` (None: at the end); ``stabilized``
     says that no degree is left, so the quotient is finite and built whole.
+
+    Every candidate and relation row of a block (v, w) extends a word from v,
+    so ``source`` starts the build at that vertex alone, with the full build's
+    words, paths and ``stabilized`` for its column.
     """
 
-    def __init__(self, pres: QuiverPresentation, max_degree: Optional[int] = None):
+    def __init__(
+        self, pres: QuiverPresentation, max_degree: Optional[int] = None, source: Optional[str] = None
+    ):
         self.pres = pres
         self.src: list[str] = []
         self.tgt: list[str] = []
@@ -555,7 +567,7 @@ class GradedQuotient:
         for a in pres.arrows:
             self.out_degrees[a.src].add(a.deg)
         self.work = 0  # units spent against MAX_WORK
-        self._build(max_degree)
+        self._build(max_degree, pres.vertices if source is None else [source])
 
     def spend(self, units: int, where, *args) -> None:
         """Add ``units`` to this call's work; past ``MAX_WORK``, raise, naming ``where(*args)``."""
@@ -603,11 +615,11 @@ class GradedQuotient:
     def mul_vector_by_path(self, vec: dict, path: tuple[str, ...]) -> dict:
         return reduce(self.mul, path, vec)
 
-    def _build(self, max_degree: Optional[int]) -> None:
+    def _build(self, max_degree: Optional[int], sources: list[str]) -> None:
         pres = self.pres
         relations = list(zip(pres.signatures, pres.relations))
         reach: set = set()  # the degrees deg w + deg a not yet built
-        for v in pres.vertices:
+        for v in sources:
             self._add_element(v, v, 0)
             reach |= self.out_degrees[v]
         while reach:

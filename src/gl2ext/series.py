@@ -6,7 +6,7 @@ operator convolves over the middle index j and the homological index k,
 and the output's first index is reinterpreted as the j-index of the next
 application.  Completeness bounds are tracked explicitly (None meaning
 complete everywhere) so that truncation can never silently drop
-contributions.
+contributions.  After the last application, Ext is the row j = 0.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ class BigradedSeries:
             return self.rule(j, k)
         return self.dims.get((j, k), 0)
 
-    def support(self) -> dict[tuple[int, int], int]:
-        if self.dims is None:
-            raise ValueError("rule-backed series has unbounded support")
-        return dict(sorted(self.dims.items()))
-
 
 def fz_series() -> BigradedSeries:
     """The polynomial algebra on one generator in (j, k)-degree (1, 0)."""
@@ -86,11 +81,6 @@ class TrigradedSeries:
 
     def value(self, i: int, j: int, k: int) -> int:
         return self.dims.get((i, j, k), 0)
-
-
-def f_series() -> TrigradedSeries:
-    """The ground field as a series: a point mass at (0, 0, 0), complete everywhere."""
-    return TrigradedSeries({(0, 0, 0): 1}, i_max=None, k_max=None)
 
 
 def lambda_series(p: int, i_max: int, k_max: int = 0) -> TrigradedSeries:
@@ -155,11 +145,12 @@ def apply_operator(
 
 
 def lambda_q_series(p: int, q: int, k_max: Optional[int] = None) -> dict[int, int]:
-    """Homologically graded dims after q layer applications and the field cut.
+    """Homologically graded dims of Ext after q layer applications.
 
-    The required coupling ranges are derived from the per-level support
-    bound: the final cut reads only j = 0, and each earlier stage needs
-    levels up to p*(the next stage's need) + 2p - 2.
+    Ext^k is the last stage's j = 0 row.  The required coupling ranges are
+    derived from the per-level support bound: that row needs only j = 0,
+    and each earlier stage needs levels up to p*(the next stage's need)
+    + 2p - 2.
     """
     require_prime(p)
     if q < 0:
@@ -174,5 +165,4 @@ def lambda_q_series(p: int, q: int, k_max: Optional[int] = None) -> dict[int, in
     for m in range(1, q + 1):
         gamma = lambda_series(p, i_max=needs[m], k_max=k_max)
         delta = apply_operator(gamma, delta, k_max=k_max)
-    cut = apply_operator(f_series(), delta, k_max=k_max)
-    return {k: v for (i, k), v in sorted(cut.support().items()) if i == 0}
+    return {k: d for k in range(k_max + 1) if (d := delta.value(0, k))}

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -400,6 +401,10 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch, argv
         # a free loop is refused at degree 157 of this budget as at degree 312,501 of
         # the real one, which test_oracle.py::test_ext_rejects_nonfinite keeps
         monkeypatch.setattr(oracle, "MAX_WORK", 10_000)
+    if argv[0] in ("basis", "ext-table") and argv[-2:] == ("--q", "8"):
+        # (2, 8) is refused at factor 5 of this limit as at factor 7 of the real
+        # one, which the child case basis-walk-limit keeps
+        monkeypatch.setattr(tower, "MAX_CHAINS", 10_000)
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 2
     assert out == ""
@@ -563,10 +568,27 @@ def _child_env(**extra) -> dict:
 )
 def test_a_child_reports_bad_input_in_one_line(tmp_path, argv):
     # in this process every layer module has already run; a child meets the
-    # limit errors of modules that the CLI runs only on first use
+    # limit errors of modules that the CLI runs only on first use.  The case
+    # basis-walk-limit is the home of the real tower.MAX_CHAINS: the in-process
+    # walk-limit cases of test_bad_input_is_a_one_line_usage_error lower it
     argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "gl2ext", *argv], capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout, len(proc.stderr.splitlines())) == (2, "", 1)
+
+
+@pytest.mark.parametrize("source", [[], ["--source", "1"]], ids=["full", "column"])
+def test_a_builtin_past_the_budget_is_refused_before_it_is_built(source):
+    # OMEGA(312509) has 625,016 arrows: 32 units each pass MAX_WORK, and
+    # building the presentation alone would take seconds and hundreds of MB
+    argv = ["oracle", "quotient-dims", "--name", "OMEGA", "--p", "312509", "--max-degree", "1", *source]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "gl2ext", *argv], capture_output=True, text=True, env=_child_env())
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "gl2ext: error: OMEGA(312509) has 625016 arrows, 20000512 units at 32 each, past the limit of "
+        "20000000 (oracle.MAX_WORK), so it is refused before it is built"
+    ]
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -16,6 +16,7 @@ from gl2ext.oracle import QuiverPresentation
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from test_oracle import columns_are_cut_from_the_full_build  # noqa: E402
 
 VERTICES = ("1", "2", "3")
 
@@ -126,6 +127,17 @@ def test_oracle_commands_on_random_presentations(payload, max_n, max_degree):
             code, out, err = _run(argv)
             _assert_contract(code, out, err)
             assert code != 0 or _well_typed(payload)
+
+
+@settings(FUZZ, max_examples=300)  # about one presentation in five loads
+@given(presentations(), st.integers(0, 4))
+def test_a_column_is_the_full_build_cut_at_its_source(payload, max_degree):
+    # test_oracle.py::test_source_filter_is_the_column_of_the_full_report on random quivers
+    try:
+        pres = QuiverPresentation.from_json_dict(payload)
+    except (ValueError, KeyError, TypeError):
+        return
+    columns_are_cut_from_the_full_build(pres, max_degree)
 
 
 JSON_VALUES = st.recursive(

@@ -1,10 +1,12 @@
 """What importing a gl2ext module loads, and what a CLI call runs, each time in a fresh interpreter."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +87,47 @@ def test_a_usage_error_inside_a_command_runs_no_other_layer():
         "print(' '.join(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
     )
     assert LAYERS & set(_fresh(code).split()) == {"gl2ext.paths"}
+
+
+def _run_fresh(argv) -> tuple[str, set[str]]:
+    """The stdout of ``cli.main(argv)`` in a fresh interpreter, and the modules it leaves loaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from gl2ext import cli\n"
+        "out = io.StringIO()\n"
+        f"with contextlib.redirect_stdout(out):\n    assert cli.main({argv!r}) == 0\n"
+        "print(' '.join(sys.modules)); print(out.getvalue(), end='')"
+    )
+    loaded, _, out = _fresh(code).partition("\n")
+    return out, set(loaded.split())
+
+
+ARITHMETIC = {"fractions", "decimal", "csv"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "ext", "--name", "C", "--p", "3", "--max-n", "6"], ["verify", "--suite", "fast"]],
+    ids=["oracle", "verify"],
+)
+def test_integral_input_loads_no_rational_or_csv_module(argv):
+    # every builtin is integral, so its elimination never makes a Fraction,
+    # and only --format csv writes csv
+    assert not ARITHMETIC & _run_fresh(argv)[1]
+
+
+def test_a_rational_coefficient_loads_fractions(tmp_path):
+    # b = 3/4 a: one word of degree 1, and the relation keeps its exact value
+    path = tmp_path / "rational.json"
+    arrows = [{"name": name, "src": "1", "tgt": "2", "deg": 1} for name in "ab"]
+    relation = [{"coeff": "-3/4", "path": ["a"]}, {"coeff": 1, "path": ["b"]}]
+    path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": arrows, "relations": [relation]}), encoding="utf-8")
+    out, loaded = _run_fresh(["oracle", "quotient-dims", "--presentation", str(path), "--max-degree", "2"])
+    assert "fractions" in loaded
+    blocks = {(b["source"], b["target"], b["degree"]): b["dim"] for b in json.loads(out)["blocks"]}
+    assert blocks == {("1", "1", 0): 1, ("1", "2", 1): 1, ("2", "2", 0): 1}
+    assert json.loads(out)["stabilized"]
+    assert oracle.QuiverPresentation.loads(path.read_text()).relations[0][0][0] == Fraction(-3, 4)
 
 
 @pytest.mark.parametrize("first, second", [("gl2ext.oracle", "gl2ext.cli"), ("gl2ext.cli", "gl2ext.oracle")])

@@ -19,7 +19,8 @@ from gl2ext.oracle import (
     quotient_basis,
     reduce_row,
 )
-from gl2ext.paths import omega_basis, theta_basis
+from gl2ext.cli import main
+from gl2ext.paths import in_omega, omega_basis, theta_basis
 from gl2ext.tower import ext_dim_table
 from gl2ext.verify import check_oracle_ses_identity
 
@@ -236,6 +237,18 @@ def test_a_presentation_and_its_quotient_are_built_in_linear_time():
     assert Counter(quo.deg) == {0: 20011, 1: 2 * 20010}
 
 
+@pytest.mark.parametrize("name", ["OMEGA", "THETA", "C"])
+def test_a_builtin_within_the_budget_is_built(monkeypatch, name):
+    # 312,469 is the largest prime whose 2(p - 1) arrows fit: each builder is
+    # reached, and stubbed, so that nothing of that size is built here
+    for builder in ("_omega_presentation", "_theta_presentation", "_c_presentation"):
+        monkeypatch.setattr(oracle, builder, lambda p, builder=builder: (builder, p))
+    for p in (100003, 312469):
+        assert builtin_presentation(name, p) == (f"_{name.lower()}_presentation", p)
+    with pytest.raises(WorkLimitError, match=rf"^{name}\(312509\) has \d+ arrows"):
+        builtin_presentation(name, 312509)
+
+
 def test_a_column_reports_its_own_stabilization():
     pres = builtin_presentation("Y2_P3")
     assert quotient_basis(pres, 11, source="1,1").stabilized
@@ -262,15 +275,75 @@ def test_strip_quotients_at_larger_p(p):
     assert check_oracle_ses_identity(ps=(p,)).ok
 
 
+def columns_are_cut_from_the_full_build(pres, max_degree):
+    """Each vertex's column report against the full build cut at that vertex.
+
+    The cut is the report's reference: its dims, paths and zero degrees are
+    the full build's words that start at v, and its ``stabilized`` says that
+    no arrow out of such a word leads past ``max_degree``.  A column spends
+    no more work than the full build.
+    """
+    full = GradedQuotient(pres, max_degree=max_degree)
+    for v in pres.vertices:
+        ids = [i for i, src in enumerate(full.src) if src == v]
+        blocks = {}
+        for i in ids:
+            blocks.setdefault((v, full.tgt[i], full.deg[i]), []).append(full.word(i))
+        column = quotient_basis(pres, max_degree, source=v, with_paths=True)
+        assert column.dims == {block: len(words) for block, words in blocks.items()}, (pres.name, v)
+        assert column.basis_paths == {block: sorted(words) for block, words in blocks.items()}
+        assert column.zero_degrees == [d for d in range(1, max_degree + 1) if all(full.deg[i] != d for i in ids)]
+        out = full.out_degrees
+        stabilized = all(full.deg[i] + e <= max_degree for i in ids for e in out[full.tgt[i]])
+        assert column.stabilized == stabilized, (pres.name, v, max_degree)
+        assert GradedQuotient(pres, max_degree=max_degree, source=v).work <= full.work
+
+
 def test_source_filter_is_the_column_of_the_full_report():
-    for name, p, deg, source in (("OMEGA", 5, 10, "3"), ("Y2_P3", None, 11, "1,1")):
-        pres = builtin_presentation(name, p)
-        full = quotient_basis(pres, deg, with_paths=True)
-        column = quotient_basis(pres, deg, source=source, with_paths=True)
-        assert column.dims == {k: v for k, v in full.dims.items() if k[0] == source}
-        assert column.basis_paths == {
-            k: v for k, v in full.basis_paths.items() if k[0] == source
-        }
+    cases = [(builtin_presentation(name, p), 2 * p + 2) for name in ("OMEGA", "THETA", "C") for p in (2, 3, 5, 7)]
+    cases += [(builtin_presentation(name), 14) for name in ("Y2_P3", "Y2_P3_COMPLETED")]
+    for pres, top in cases:
+        for degree in range(top + 1):
+            columns_are_cut_from_the_full_build(pres, degree)
+
+
+# sha256 of ``oracle quotient-dims --max-degree 2p --source v --with-paths``
+# (degree 11 for Y2_P3) at every vertex v, recorded while a column was still
+# cut from the full build.
+COLUMN_DIGESTS = {
+    ("Y2_P3", "1,1"): "51638b23e7e199ddf6ab27edc69a8dacd79ec5fef6888328fad357f570ea5e0c",
+    ("Y2_P3", "1,2"): "fa7e461a0c30fb0a3ccce17984435321d8a229a5832e52ab7fbbb73ebe240930",
+    ("Y2_P3", "1,3"): "1c648aba0cc036f4dbf5e65756eefee3eb67753d7a08c2a41b5e8bc5f71508c0",
+    ("Y2_P3", "2,1"): "6588651fdee4e5537ad41a35042d0726552a3c66e6630062ed0d266500f746a5",
+    ("Y2_P3", "2,2"): "83ff57b69f07e9a96d8e2663e4809cfda8a170b51f45a17f4f216852e4d5ba44",
+    ("Y2_P3", "2,3"): "624f83d38cc89d751df67df57e858671e643a8c56c1468d5d7c3717b2c60f783",
+    ("Y2_P3", "3,1"): "fdee0921bb337a0cd0a612e8ab2b30787393fb462dacf5eef1e0324bedfa7d02",
+    ("Y2_P3", "3,2"): "57e7e9f5a23a5d55b4e20f5e7b5103fe22c4a86e7dda5ed6b40218c08111d51e",
+    ("Y2_P3", "3,3"): "b171d6b15bb48132e571e41cad660616a7e5536b6d6844d899cc33953ea863a5",
+    ("OMEGA", "1"): "8335d2c4f299b2de6cbc9551b5c36a455c2666ec979ea25c8205e8675570db31",
+    ("OMEGA", "2"): "ebc07281945056cdccaf782b42d628ab88c0a804601685eb8953c218690ca053",
+    ("OMEGA", "3"): "6d7ff62802e88be11270f480c30ca8e2c94f026ebfd0ff7467c507b830b0be76",
+    ("OMEGA", "4"): "800e0d1dbd3a0cb8b9b934437138559bd7b81a14bdef0e94c1c7ef9f2e1a4117",
+    ("OMEGA", "5"): "1c2b3b94e45b5874c6f0bc292e2b0fe3d51d9d6b1b5d4c15bdc8e7cec046d10e",
+}
+
+
+@pytest.mark.parametrize("name, source", list(COLUMN_DIGESTS))
+def test_columns_keep_their_bytes(capsys, name, source):
+    where = ["--max-degree", "11"] if name == "Y2_P3" else ["--p", "5", "--max-degree", "10"]
+    argv = ["oracle", "quotient-dims", "--name", name, *where, "--source", source, "--with-paths"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COLUMN_DIGESTS[name, source]
+
+
+def test_a_column_reaches_past_the_full_builds_budget():
+    # OMEGA(401) to degree 802 is refused by MAX_WORK; its column at vertex 1 is
+    # one word per vertex, x1 ... x(v-1) to v, as the model's closed strip says
+    p = 401
+    column = quotient_basis(builtin_presentation("OMEGA", p), 2 * p, source="1")
+    model = Counter(("1", str(1 + a - b), a + b) for a in range(p) for b in range(p) if in_omega(p, 1, a, b))
+    assert column.stabilized
+    assert column.dims == model
 
 
 def test_c2_dims_and_ext():
