@@ -561,7 +561,7 @@ class GradedQuotient:
         # word i is word parent[i] followed by arrow last[i] (both None at degree 0)
         self.last: list[Optional[str]] = []
         self.parent: list[Optional[int]] = []
-        self.by_deg_tgt: dict = {}
+        self.by_deg: dict = {}  # degree -> target -> basis ids, ascending
         self.rmul: dict = {}  # (basis id, arrow name) -> {basis id: int or Fraction}
         self.out_degrees: dict = {v: set() for v in pres.vertices}
         for a in pres.arrows:
@@ -578,12 +578,24 @@ class GradedQuotient:
                 f"{MAX_WORK} (oracle.MAX_WORK), so the quotient is infinite or the call too large"
             )
 
-    def _largest_block(self, d: int, size: int) -> str:
+    def _largest_block(self, d: int, extended: list) -> str:
         """Degree d, its candidates and its largest block, for a ``WorkLimitError``."""
-        arrows, by = self.pres.arrows, self.by_deg_tgt
-        blocks = Counter((self.src[i], a.tgt) for a in arrows for i in by.get((d - a.deg, a.src), ()))
+        blocks = Counter((self.src[i], a.tgt) for (_, a), ids in extended for i in ids)
         ((block, most),) = blocks.most_common(1)
-        return f"degree {d} has {size} candidates, {most} of them in block {block!r}"
+        return f"degree {d} has {blocks.total()} candidates, {most} of them in block {block!r}"
+
+    def _extending(self, index: dict, d: int) -> list:
+        """``(entry, ids)``: each entry of ``index`` with the kept words it extends to degree d.
+
+        ``index`` maps degree -> source -> entries, each led by its place in
+        the presentation, and the pairs come in that order.
+        """
+        return sorted(
+            (entry, ids)
+            for e, by_src in index.items()
+            for v, ids in self.by_deg.get(d - e, {}).items()
+            for entry in by_src.get(v, ())
+        )
 
     def _add_element(self, src, tgt, deg, last=None, parent=None) -> int:
         idx = len(self.src)
@@ -592,7 +604,7 @@ class GradedQuotient:
         self.deg.append(deg)
         self.last.append(last)
         self.parent.append(parent)
-        self.by_deg_tgt.setdefault((deg, tgt), []).append(idx)
+        self.by_deg.setdefault(deg, {}).setdefault(tgt, []).append(idx)
         return idx
 
     def word(self, idx: int) -> tuple[str, ...]:
@@ -617,7 +629,13 @@ class GradedQuotient:
 
     def _build(self, max_degree: Optional[int], sources: list[str]) -> None:
         pres = self.pres
-        relations = list(zip(pres.signatures, pres.relations))
+        # by degree and source, so that a degree visits only the kept words they extend
+        arrows_from: dict = {}
+        for i, a in enumerate(pres.arrows):
+            arrows_from.setdefault(a.deg, {}).setdefault(a.src, []).append((i, a))
+        relations_from: dict = {}
+        for i, ((rsrc, rtgt, rdeg), rel) in enumerate(zip(pres.signatures, pres.relations)):
+            relations_from.setdefault(rdeg, {}).setdefault(rsrc, []).append((i, rtgt, rel))
         reach: set = set()  # the degrees deg w + deg a not yet built
         for v in sources:
             self._add_element(v, v, 0)
@@ -627,17 +645,19 @@ class GradedQuotient:
             if max_degree is not None and d > max_degree:
                 break
             reach.remove(d)
-            size = sum(len(self.by_deg_tgt.get((d - a.deg, a.src), ())) for a in pres.arrows)
-            rows = sum(len(self.by_deg_tgt.get((d - r[0][2], r[0][0]), ())) for r in relations)
-            self.spend(32 * (size + 1) + rows, self._largest_block, d, size)
+            extended = self._extending(arrows_from, d)
+            related = self._extending(relations_from, d)
+            size = sum(len(ids) for _, ids in extended)
+            rows = sum(len(ids) for _, ids in related)
+            self.spend(32 * (size + 1) + rows, self._largest_block, d, extended)
             # candidates (basis element, final arrow), grouped per block
             cands: dict = {}
-            for a in pres.arrows:
-                for idx in self.by_deg_tgt.get((d - a.deg, a.src), []):
+            for (_, a), ids in extended:
+                for idx in ids:
                     cands.setdefault((self.src[idx], a.tgt), []).append((idx, a.name))
             rows_by_block: dict = {}
-            for (rsrc, rtgt, rdeg), rel in relations:
-                for idx in self.by_deg_tgt.get((d - rdeg, rsrc), []):
+            for (_, rtgt, rel), ids in related:
+                for idx in ids:
                     row: dict = {}
                     for coeff, path in rel:
                         vec = self.mul_vector_by_path({idx: 1}, path[:-1])

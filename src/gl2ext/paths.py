@@ -50,7 +50,11 @@ class PathMonomial(NamedTuple):
 
 
 def pi_mult(a: PathMonomial, b: PathMonomial) -> Optional[PathMonomial]:
-    """Concatenate path classes a then b; None when the endpoints mismatch."""
+    """Concatenate path classes a then b; None when the endpoints mismatch.
+
+    ``verify``'s independent statement of path composition, which
+    ``lambda_mult`` makes inline: only ``verify``'s reflection sweep calls it.
+    """
     s, alpha, beta = a
     b_s, b_alpha, b_beta = b
     if s + alpha - beta != b_s:
@@ -79,6 +83,8 @@ def sigma(p: int, m: PathMonomial) -> PathMonomial:
     """Reflection involution: source s -> p-s, up and down steps exchanged.
 
     Defined on every path class; callers filter membership afterwards.
+    ``verify``'s independent statement of the reflection, which
+    ``lambda_mult`` makes inline: only ``verify``'s reflection sweep calls it.
     """
     return PathMonomial(p - m.s, m.beta, m.alpha)
 

@@ -29,16 +29,13 @@ enumeration to recorded data, and ``check_property_suite`` checks the laws
 of the products (closure, associativity, gradings, embedding).  Each
 check's reported name is the argument of its ``_check`` decorator.
 
-``check_property_suite`` runs its closure sweeps in a child made by
-``os.fork`` (``_with_helper``), the one fork in the package, so ``verify``
-needs a POSIX system.
+Every check runs in the calling process, one after another, so
+``verify`` starts no process of its own.
 """
 
 from __future__ import annotations
 
 import functools
-import marshal
-import os
 import random
 from collections import Counter
 from itertools import compress
@@ -292,10 +289,15 @@ def check_calibration():
 def _random_tensor(rng: random.Random, p: int, q: int, nh_max: int):
     """q layer elements with n, h <= nh_max, then z <= 2p; any weight."""
     omega, theta = omega_basis(p), theta_basis(p)
+    getrandbits, bound = rng.getrandbits, nh_max + 1
+    k = bound.bit_length()
     factors = []
     for _ in range(q):
-        n = below(rng, nh_max + 1)
-        h = below(rng, nh_max + 1)
+        n = h = bound  # then n and h, each drawn as ``below(rng, bound)`` draws it
+        while n >= bound:
+            n = getrandbits(k)
+        while h >= bound:
+            h = getrandbits(k)
         pool = omega if n == 0 else theta
         factors.append(tuple.__new__(LambdaMonomial, (pool[below(rng, len(pool))], n, h)))
     return tuple.__new__(tower.TensorMonomial, (tuple(factors), below(rng, 2 * p + 1)))
@@ -307,49 +309,13 @@ def _gradings(p: int, e: LambdaMonomial) -> tuple[int, int, int, int]:
     return e_l, e_r, k_degree(p, e), path_j_degree(p, e)
 
 
-def _with_helper(helper, here):
-    """``(helper(), here())``, with ``helper`` run meanwhile in a forked child.
+def _exact_tuples(elements) -> list[tuple]:
+    """Equal exact tuples ``(tuple(b), n, h)`` of layer elements, for the sweeps to multiply.
 
-    The child sends ``(ok, value or message)`` back through a pipe with
-    ``marshal`` and always leaves through ``os._exit``, so nothing it
-    raises, ``SystemExit`` included, returns into the caller.  The caller
-    reaps the child even when ``here`` raises, and raises a child's error
-    as ``RuntimeError(message)``, ahead of an error of ``here``.
+    CPython 3.11 unpacks an exact tuple on its specialized path and a
+    NamedTuple through an iterator, which doubles the cost of a product.
     """
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            try:
-                sent = (True, helper())
-            except Exception as exc:  # noqa: BLE001 - the caller raises it
-                sent = (False, str(exc))
-            with open(write_end, "wb") as pipe:
-                marshal.dump(sent, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    error = None
-    try:
-        value = here()
-    except Exception as exc:  # noqa: BLE001 - raised after the child's error
-        error = exc
-    finally:
-        with open(read_end, "rb") as pipe:
-            sent = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    ok, theirs = (
-        marshal.loads(sent)
-        if sent
-        else (False, f"helper exited with code {os.waitstatus_to_exitcode(status)}")
-    )
-    if not ok:
-        raise RuntimeError(theirs)
-    if error is not None:
-        raise error
-    return theirs, value
+    return [(tuple(b), n, h) for b, n, h in elements]
 
 
 def _property_sweeps(ps) -> tuple[list[str], int]:
@@ -387,9 +353,10 @@ def _property_sweeps(ps) -> tuple[list[str], int]:
             if e.n <= 3 and e.h <= 3
         ]
         graded = [_gradings(p, e) for e in pool]
+        operands = _exact_tuples(pool)
         facts = {}  # (is_valid, gradings) of each distinct product
-        for x, gx in zip(pool, graded):
-            row = list(map(functools.partial(lambda_mult, p, x), pool))
+        for x, cx, gx in zip(pool, operands, graded):
+            row = [lambda_mult(p, cx, cy) for cy in operands]
             checked += len(row)
             for prod, y, gy in compress(zip(row, pool, graded), row):
                 fact = facts.get(prod)
@@ -398,7 +365,7 @@ def _property_sweeps(ps) -> tuple[list[str], int]:
                 valid, gp = fact
                 if not valid:
                     problems.append(f"closure fails: {x} * {y} -> {prod}")
-                if (gx[0] + gy[0], gx[1] + gy[1]) != gp[:2]:
+                if gx[0] + gy[0] != gp[0] or gx[1] + gy[1] != gp[1]:
                     problems.append(f"bidegree not additive at {x} * {y}")
                 if gx[2] + gy[2] != gp[2]:
                     problems.append(f"k-degree not additive at {x} * {y}")
@@ -412,8 +379,12 @@ def _property_sweeps(ps) -> tuple[list[str], int]:
         for q in (1, 2):
             basis = tower.enumerate_weight_zero(p, q)
             index = set(basis)
-            for a in basis:
-                row = list(map(functools.partial(tower.tensor_mult, p, a), basis))
+            operands = [
+                tuple.__new__(tower.TensorMonomial, (tuple(_exact_tuples(m.factors)), m.z))
+                for m in basis
+            ]
+            for a, ca in zip(basis, operands):
+                row = [tower.tensor_mult(p, ca, cb) for cb in operands]
                 checked += len(row)
                 for r, b in compress(zip(row, basis), row):
                     if r.sign not in (-1, 1) or r.monomial not in index:
@@ -535,17 +506,14 @@ def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int =
     ext-degree, idempotent and embedding checks on the bases (2, 1..3),
     (3, 1..3) and (5, 1).
 
-    The sweeps (``_property_sweeps``) run in a forked helper while this
-    process makes the draws (``_property_draws``); the sweeps' problems
-    come first, so the first problem is the one a serial run finds.  In
-    process, the sweeps take about 0.16 s and the draws 0.13 s with the
-    full suite's arguments, and 0.07 s and 0.06 s with the fast suite's
-    (2-vCPU VM, Python 3.11.7).
+    The sweeps (``_property_sweeps``) run first and the draws
+    (``_property_draws``) after them, so the first problem is the sweeps'.
+    In process, the sweeps take about 0.10 s and the draws 0.13 s with the
+    full suite's arguments, and 0.05 s each with the fast suite's (2-vCPU
+    VM, Python 3.11.7).
     """
-    (swept, n_swept), (drawn, n_drawn) = _with_helper(
-        functools.partial(_property_sweeps, ps),
-        functools.partial(_property_draws, random_rounds, ps, q_max),
-    )
+    swept, n_swept = _property_sweeps(ps)
+    drawn, n_drawn = _property_draws(random_rounds, ps, q_max)
     problems = swept + drawn
     checked = n_swept + n_drawn
     return not problems, problems[0] if problems else f"{checked} property instances checked"

@@ -737,7 +737,7 @@ def test_verify_keeps_its_bytes(capsys, command):
 
 
 def test_a_verify_child_leaves_no_process_behind():
-    """The property suite's forked helper ends within the run and writes nothing of its own."""
+    """A ``verify`` child leaves no process in its group and writes nothing to stderr."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "gl2ext", "verify", "--suite", "fast"],
         stdout=subprocess.PIPE,

@@ -325,57 +325,13 @@ def test_an_error_in_the_sweeps_fails_the_check(monkeypatch):
     assert check == ("property_suite", False, "error: broken on purpose")
 
 
-def _in_this_process(call):
-    """``call()``; a forked helper that comes back into this test ends here, with code 99."""
-    pid = os.getpid()
-    try:
-        return call()
-    finally:
-        if os.getpid() != pid:
-            os._exit(99)
+@pytest.mark.parametrize("suite", ["fast", "full"])
+def test_the_suites_run_in_this_process(monkeypatch, suite):
+    def no_fork():
+        raise AssertionError("verify forked a process")
 
-
-def test_the_helper_sends_its_value_back():
-    (helper_pid, words), here = _in_this_process(
-        lambda: verify._with_helper(lambda: (os.getpid(), ["sent", 3]), os.getpid)
-    )
-    assert (here, words) == (os.getpid(), ["sent", 3])
-    assert helper_pid != here
-
-
-@pytest.mark.parametrize("escape", [SystemExit(0), KeyboardInterrupt()], ids=repr)
-def test_the_helper_never_returns_into_the_caller(escape):
-    def helper():
-        raise escape
-
-    pid = os.getpid()
-    with pytest.raises(RuntimeError, match="^helper exited with code 1$"):
-        _in_this_process(lambda: verify._with_helper(helper, lambda: None))
-    assert os.getpid() == pid
-
-
-def _raises(message):
-    def fail():
-        raise ValueError(message)
-
-    return fail
-
-
-@pytest.mark.parametrize(
-    "helper, here, raised",
-    [
-        (list, _raises("here"), (ValueError, "here")),
-        (_raises("helper"), list, (RuntimeError, "helper")),
-        (_raises("helper"), _raises("here"), (RuntimeError, "helper")),
-    ],
-    ids=["here-fails", "helper-fails", "both-fail"],
-)
-def test_the_helper_is_reaped_whichever_half_fails(helper, here, raised):
-    """The helper's error comes first, and no child is left behind."""
-    with pytest.raises(raised[0], match=f"^{raised[1]}$"):
-        _in_this_process(lambda: verify._with_helper(helper, here))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert [check for check in verify.run_suite(suite) if not check.ok] == []
 
 
 def test_tensor_mult_looks_up_lambda_mult_once_per_slot(monkeypatch):
