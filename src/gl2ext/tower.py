@@ -158,8 +158,11 @@ def below(rng: random.Random, n: int) -> int:
 
     Like ``Random._randbelow``, it repeats ``getrandbits(n.bit_length())``
     until the draw is below n, so ``pool[below(rng, len(pool))]`` draws what
-    ``rng.choice(pool)`` draws and the seeded samples stay the same.
+    ``rng.choice(pool)`` draws and the seeded samples stay the same.  An
+    empty range raises ``ValueError``, as ``rng.randrange(0)`` does.
     """
+    if n < 1:
+        raise ValueError(f"below needs n >= 1, got {n}")
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:

@@ -290,6 +290,8 @@ def _random_tensor(rng: random.Random, p: int, q: int, nh_max: int):
     """q layer elements with n, h <= nh_max, then z <= 2p; any weight."""
     omega, theta = omega_basis(p), theta_basis(p)
     getrandbits, bound = rng.getrandbits, nh_max + 1
+    if bound < 1:
+        raise ValueError(f"nh_max must be >= 0, got {nh_max}")
     k = bound.bit_length()
     factors = []
     for _ in range(q):
@@ -310,7 +312,7 @@ def _gradings(p: int, e: LambdaMonomial) -> tuple[int, int, int, int]:
 
 
 def _exact_tuples(elements) -> list[tuple]:
-    """Equal exact tuples ``(tuple(b), n, h)`` of layer elements, for the sweeps to multiply.
+    """Equal exact tuples ``(tuple(b), n, h)`` of layer elements, for the closures to multiply.
 
     CPython 3.11 unpacks an exact tuple on its specialized path and a
     NamedTuple through an iterator, which doubles the cost of a product.
@@ -318,8 +320,27 @@ def _exact_tuples(elements) -> list[tuple]:
     return [(tuple(b), n, h) for b, n, h in elements]
 
 
-def _property_sweeps(ps) -> tuple[list[str], int]:
-    """The property suite's reflection and closure sweeps: ``(problems, checked)``.
+# The one random stream of the property suite's random sections.
+PROPERTY_SEED = 20240
+
+
+@_check("property_suite")
+def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int = 3):
+    """Signed closure, associativity, involution, gradings, embedding, counts.
+
+    What the arguments bound:
+
+    - ``ps``: the primes of the reflection and layer-closure sections and
+      of every random draw;
+    - ``q_max``: the number of factors of every random draw;
+    - ``random_rounds``: the random closure and the associativity sections
+      draw ``max(1, random_rounds // 2)`` rounds each, so 0 and 1 still
+      draw one of each; the random embedding section always draws 500 pairs.
+
+    Two sections ignore ``ps`` and ``q_max``: the exhaustive signed
+    closure on the bases (p, q) with p in {2, 3} and q in {1, 2}, and the
+    ext-degree, idempotent and embedding checks on the bases (2, 1..3),
+    (3, 1..3) and (5, 1).
 
     Both closure sweeps multiply every pair once, a row at a time, and
     visit only the nonzero products.  The layer closure computes validity
@@ -392,20 +413,8 @@ def _property_sweeps(ps) -> tuple[list[str], int]:
             if problems:
                 break
 
-    return problems, checked
-
-
-# The one random stream of the property suite's random sections.
-PROPERTY_SEED = 20240
-
-
-def _property_draws(random_rounds: int, ps, q_max: int) -> tuple[list[str], int]:
-    """The property suite's random draws and basis counts: ``(problems, checked)``."""
-    rng = random.Random(PROPERTY_SEED)
-    problems: list[str] = []
-    checked = 0
-
     # randomized signed closure, weight additivity and associativity
+    rng = random.Random(PROPERTY_SEED)
     rounds = max(1, random_rounds // 2)
     for _ in range(rounds):
         p = ps[below(rng, len(ps))]
@@ -486,36 +495,6 @@ def _property_draws(random_rounds: int, ps, q_max: int) -> tuple[list[str], int]
                 problems.append(f"embed leaves the basis at {m}")
                 break
 
-    return problems, checked
-
-
-@_check("property_suite")
-def check_property_suite(random_rounds: int = 10_000, ps=(2, 3, 5), q_max: int = 3):
-    """Signed closure, associativity, involution, gradings, embedding, counts.
-
-    What the arguments bound:
-
-    - ``ps``: the primes of the reflection and layer-closure sections and
-      of every random draw;
-    - ``q_max``: the number of factors of every random draw;
-    - ``random_rounds``: the random closure and associativity products
-      (half each); the random embedding section always draws 500 pairs.
-
-    Two sections ignore ``ps`` and ``q_max``: the exhaustive signed
-    closure on the bases (p, q) with p in {2, 3} and q in {1, 2}, and the
-    ext-degree, idempotent and embedding checks on the bases (2, 1..3),
-    (3, 1..3) and (5, 1).
-
-    The sweeps (``_property_sweeps``) run first and the draws
-    (``_property_draws``) after them, so the first problem is the sweeps'.
-    In process, the sweeps take about 0.10 s and the draws 0.13 s with the
-    full suite's arguments, and 0.05 s each with the fast suite's (2-vCPU
-    VM, Python 3.11.7).
-    """
-    swept, n_swept = _property_sweeps(ps)
-    drawn, n_drawn = _property_draws(random_rounds, ps, q_max)
-    problems = swept + drawn
-    checked = n_swept + n_drawn
     return not problems, problems[0] if problems else f"{checked} property instances checked"
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import signal
 from collections import Counter
 
 import pytest
@@ -97,6 +98,9 @@ def test_weight_examples():
     assert weight(3, m) == (0, 0, 0)
     assert weight(3, T([L(1, 1, 0, 0, 0)], 0)) == (0, -1)
     assert weight(3, idempotent((2, 3)), ) == (0, 0, 0)
+    # the weight-zero tuples of the reference column at Yoneda degrees 3 and 8
+    assert weight(3, T([L(1, 2, 0, 0, 0), L(1, 1, 0, 2, 0)], 3)) == (0, 0, 0)
+    assert weight(3, T([L(1, 2, 0, 0, 0), L(1, 2, 0, 0, 2)], 8)) == (0, 0, 0)
 
 
 def test_a_tuple_with_no_factors_weighs_its_z():
@@ -194,23 +198,6 @@ def test_q1_matches_omega_degrees():
         )
 
 
-def yoneda_degree(p, m):
-    """The z exponent of a weight-zero tuple; rejects nonzero weight."""
-    w = weight(p, m)
-    if any(w):
-        raise ValueError(f"yoneda_degree requires weight zero, got weight {w}")
-    return m.z
-
-
-def test_yoneda_degree():
-    m = T([L(1, 2, 0, 0, 0), L(1, 1, 0, 2, 0)], 3)
-    assert yoneda_degree(3, m) == 3
-    assert yoneda_degree(3, idempotent((2, 2))) == 0
-    assert yoneda_degree(3, T([L(1, 2, 0, 0, 0), L(1, 2, 0, 0, 2)], 8)) == 8
-    with pytest.raises(ValueError):
-        yoneda_degree(3, T([L(1, 1, 0, 0, 0)], 0))
-
-
 def test_vertex_tuples_examples():
     assert vertex_tuples(3, idempotent((2, 3))) == ((2, 3), (2, 3))
     assert vertex_tuples(3, T([L(1, 0, 0, 1, 0)], 0)) == ((1,), (2,))
@@ -225,33 +212,61 @@ def test_random_weight_zero_is_in_basis():
             assert random_weight_zero(rng, p, q) in index
 
 
-# sha256 over the (sampler, p, q, operand) reprs that the full property
-# suite draws at verify.PROPERTY_SEED, recorded with the random.choice sampler.
+# sha256 over the (sampler, p, q, operand) reprs that the property suite draws at
+# verify.PROPERTY_SEED with the full suite's arguments, recorded with the
+# random.choice sampler, and with the fast suite's, recorded at commit fbf1d25.
 PROPERTY_STREAM_DIGEST = "7039488aea54da40bb48775fc1064315d9d8389d1549193f941dad4a6d269a17"
+FAST_PROPERTY_STREAM_DIGEST = "c0522436c2810da80917a3fe1902810b37288a96bc9ca056c6106cb942a3e8b7"
 
 
 def test_the_property_suite_draws_a_pinned_stream(monkeypatch):
-    """The random sections check the operands they always checked."""
-    digest = hashlib.sha256()
-    drawn = Counter()
+    """The random sections of both suites check the operands they always checked."""
+    drawn = []
 
     def recorded(sampler):
         def draw(rng, p, q, *rest):
             m = sampler(rng, p, q, *rest)
-            digest.update(repr((sampler.__name__, p, q, m)).encode())
-            drawn[sampler.__name__, p, q] += 1
+            drawn.append((sampler.__name__, p, q, m))
             return m
 
         return draw
 
     monkeypatch.setattr(tower, "random_weight_zero", recorded(tower.random_weight_zero))
     monkeypatch.setattr(verify, "_random_tensor", recorded(verify._random_tensor))
-    verify.check_property_suite(ps=(2, 3, 5), q_max=3)
-    # both samplers were drawn at every p and q
-    assert {(p, q) for _, p, q in drawn} == {(p, q) for p in (2, 3, 5) for q in (1, 2, 3)}
-    assert {name for name, _, _ in drawn} == {"random_weight_zero", "_random_tensor"}
-    assert sum(drawn.values()) == 10_000 + 15_000 + 1_000
-    assert digest.hexdigest() == PROPERTY_STREAM_DIGEST
+    for rounds, ps, q_max, want in (
+        (10_000, (2, 3, 5), 3, PROPERTY_STREAM_DIGEST),
+        (2_000, (2, 3), 2, FAST_PROPERTY_STREAM_DIGEST),
+    ):
+        drawn.clear()
+        verify.check_property_suite(random_rounds=rounds, ps=ps, q_max=q_max)
+        # both samplers were drawn at every p and q
+        assert {(p, q) for _, p, q, _ in drawn} == {(p, q) for p in ps for q in range(1, q_max + 1)}
+        assert {name for name, *_ in drawn} == {"random_weight_zero", "_random_tensor"}
+        assert len(drawn) == rounds + rounds * 3 // 2 + 1_000
+        assert hashlib.sha256(b"".join(repr(d).encode() for d in drawn)).hexdigest() == want
+
+
+def test_a_draw_from_an_empty_range_raises():
+    """getrandbits(0) is 0, so a draw that repeated until it fell below 0 would never end."""
+
+    def stop(signum, frame):
+        raise TimeoutError("a draw from an empty range took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"^below needs n >= 1, got {n}$"):
+                tower.below(random.Random(0), n)
+        with pytest.raises(ValueError, match="^nh_max must be >= 0, got -1$"):
+            verify._random_tensor(random.Random(0), 2, 1, -1)
+        for args in ({"ps": (2,), "q_max": 0}, {"ps": ()}):
+            assert verify.check_property_suite(random_rounds=2, **args) == (
+                "property_suite", False, "error: below needs n >= 1, got 0"
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _layer_pool(p):
@@ -272,19 +287,12 @@ def test_the_property_suite_multiplies_every_pair(monkeypatch):
 
     monkeypatch.setattr(verify, "lambda_mult", counted(lambda_mult, layer, lambda p, x: p))
     monkeypatch.setattr(tower, "tensor_mult", counted(tensor_mult, towers, lambda p, a: (p, len(a.factors))))
-    # the sweeps, called in this process so that the counters see them; with
-    # ps = (5,), every product at p = 2 or 3 is one of the exhaustive closure's
-    problems, swept = verify._property_sweeps((5,))
-    assert problems == []
+    # with ps = (5,), every product at p = 2 or 3 is one of the exhaustive closure's
+    assert verify.check_property_suite(random_rounds=2, ps=(5,), q_max=1).ok
     assert layer == {5: len(_layer_pool(5)) ** 2}  # the layer closure alone calls verify.lambda_mult
     assert {key: n for key, n in towers.items() if key[0] != 5} == {
         (p, q): len(enumerate_weight_zero(p, q)) ** 2 for p in (2, 3) for q in (1, 2)
     }
-    # the suite counts what its two halves check
-    _, drawn = verify._property_draws(2, (5,), 1)
-    assert verify.check_property_suite(random_rounds=2, ps=(5,), q_max=1) == (
-        "property_suite", True, f"{swept + drawn} property instances checked"
-    )
 
 
 def test_the_product_memo_cannot_hide_a_failure(monkeypatch):
@@ -305,7 +313,7 @@ def test_the_product_memo_cannot_hide_a_failure(monkeypatch):
 
 
 def test_the_sweeps_problem_comes_first(monkeypatch):
-    """When both halves of the suite fail, the detail is the layer closure's, as in one serial run."""
+    """When the layer closure and the draws both fail, the detail is the layer closure's."""
     args = {"random_rounds": 2, "ps": (2,), "q_max": 1}
     monkeypatch.setattr(tower, "is_weight_zero_basis_element", lambda p, m: False)
     detail = verify.check_property_suite(**args).detail
@@ -314,15 +322,6 @@ def test_the_sweeps_problem_comes_first(monkeypatch):
     pool = _layer_pool(2)
     x, y, r = next((x, y, r) for x in pool for y in pool if (r := lambda_mult(2, x, y)) is not None)
     assert verify.check_property_suite(**args) == ("property_suite", False, f"closure fails: {x} * {y} -> {r}")
-
-
-def test_an_error_in_the_sweeps_fails_the_check(monkeypatch):
-    def broken(ps):
-        raise ValueError("broken on purpose")
-
-    monkeypatch.setattr(verify, "_property_sweeps", broken)
-    check = verify.check_property_suite(random_rounds=2, ps=(2,), q_max=1)
-    assert check == ("property_suite", False, "error: broken on purpose")
 
 
 @pytest.mark.parametrize("suite", ["fast", "full"])
