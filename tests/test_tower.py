@@ -98,9 +98,6 @@ def test_weight_examples():
     assert weight(3, m) == (0, 0, 0)
     assert weight(3, T([L(1, 1, 0, 0, 0)], 0)) == (0, -1)
     assert weight(3, idempotent((2, 3)), ) == (0, 0, 0)
-    # the weight-zero tuples of the reference column at Yoneda degrees 3 and 8
-    assert weight(3, T([L(1, 2, 0, 0, 0), L(1, 1, 0, 2, 0)], 3)) == (0, 0, 0)
-    assert weight(3, T([L(1, 2, 0, 0, 0), L(1, 2, 0, 0, 2)], 8)) == (0, 0, 0)
 
 
 def test_a_tuple_with_no_factors_weighs_its_z():
@@ -196,6 +193,23 @@ def test_q1_matches_omega_degrees():
         assert Counter(m.z for m in basis) == Counter(
             b.degree for b in omega_basis(p)
         )
+
+
+def yoneda_degree(p, m):
+    """The z exponent of a weight-zero tuple; rejects nonzero weight."""
+    w = weight(p, m)
+    if any(w):
+        raise ValueError(f"yoneda_degree requires weight zero, got weight {w}")
+    return m.z
+
+
+def test_yoneda_degree():
+    m = T([L(1, 2, 0, 0, 0), L(1, 1, 0, 2, 0)], 3)
+    assert yoneda_degree(3, m) == 3
+    assert yoneda_degree(3, idempotent((2, 2))) == 0
+    assert yoneda_degree(3, T([L(1, 2, 0, 0, 0), L(1, 2, 0, 0, 2)], 8)) == 8
+    with pytest.raises(ValueError):
+        yoneda_degree(3, T([L(1, 1, 0, 0, 0)], 0))
 
 
 def test_vertex_tuples_examples():
