@@ -21,7 +21,6 @@ from gl2ext.oracle import (
 )
 from gl2ext.cli import main
 from gl2ext.paths import in_omega, omega_basis, theta_basis
-from gl2ext.tower import ext_dim_table
 from gl2ext.verify import check_oracle_ses_identity
 
 ONE = Fraction(1)
@@ -488,31 +487,6 @@ def test_engine_matches_direct_elimination():
         pres = builtin_presentation(name, p)
         direct = _free_path_dims(pres, deg)
         assert quotient_basis(pres, deg).dims == direct
-
-
-def test_y2_completed_matches_model_everywhere():
-    rep = quotient_basis(builtin_presentation("Y2_P3_COMPLETED"), 40)
-    assert rep.stabilized
-    model = {}
-    for (l, r, u), c in ext_dim_table(3, 2).items():
-        model[("%d,%d" % l, "%d,%d" % r, u)] = c
-    assert rep.dims == model
-
-
-def test_y2_base_relation_deviations_are_off_column_only():
-    rep = quotient_basis(builtin_presentation("Y2_P3"), 40)
-    assert rep.stabilized
-    model = {}
-    for (l, r, u), c in ext_dim_table(3, 2).items():
-        model[("%d,%d" % l, "%d,%d" % r, u)] = c
-    dims = rep.dims
-    deviations = [
-        key
-        for key in set(model) | set(dims)
-        if model.get(key, 0) != dims.get(key, 0)
-    ]
-    assert deviations  # the base relation ranges under-constrain
-    assert all(key[0] != "1,1" for key in deviations)
 
 
 def _rational_presentation():

@@ -272,7 +272,7 @@ def test_a_draw_from_an_empty_range_raises():
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"^below needs n >= 1, got {n}$"):
                 tower.below(random.Random(0), n)
-        with pytest.raises(ValueError, match="^nh_max must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match="^below needs n >= 1, got 0$"):
             verify._random_tensor(random.Random(0), 2, 1, -1)
         for args in ({"ps": (2,), "q_max": 0}, {"ps": ()}):
             assert verify.check_property_suite(random_rounds=2, **args) == (
