@@ -1,13 +1,13 @@
 """Acceptance: every check of ``verify --suite full`` passes within its budget.
 
-The checks run as ``verify.run_suite("full")`` calls them, with its own
-arguments; each ``check_*`` function is wrapped where ``run_suite`` looks
-it up, as ``bench/spans.py`` wraps it, to time it.  Run with
-``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per check.
+``verify.run_suite("full")`` runs once, with its own arguments, each
+``check_*`` wrapped where it looks it up (as ``bench/spans.py`` does) to
+time it; one test per check reads the result (``pytest -s`` prints them).
 """
 
-import functools
 import time
+
+import pytest
 
 from gl2ext import verify
 
@@ -26,11 +26,12 @@ BUDGETS = {
 }
 
 
-def test_every_full_check_passes_within_its_budget(monkeypatch):
+@pytest.fixture(scope="module")
+def full_suite():
+    """Each check of ``run_suite("full")`` by name, with its seconds."""
     seconds = {}
 
     def timed(fn):
-        @functools.wraps(fn)
         def run(*args, **kwargs):
             started = time.perf_counter()
             check = fn(*args, **kwargs)
@@ -39,15 +40,56 @@ def test_every_full_check_passes_within_its_budget(monkeypatch):
 
         return run
 
-    for name in dir(verify):
-        if name.startswith("check_"):
-            monkeypatch.setattr(verify, name, timed(getattr(verify, name)))
-    failing = []
-    for check in verify.run_suite("full"):
-        elapsed, budget = seconds[check.name], BUDGETS[check.name]
-        status = "PASS" if check.ok and elapsed < budget else "FAIL"
-        print(f"ACCEPTANCE {status} {check.name} ({elapsed:.2f}s / budget {budget:.0f}s) {check.detail}")
-        if status == "FAIL":
-            failing.append(check.name)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in dir(verify):
+            if name.startswith("check_"):
+                mp.setattr(verify, name, timed(getattr(verify, name)))
+        checks = verify.run_suite("full")
     assert sorted(seconds) == sorted(BUDGETS)
-    assert not failing
+    return {check.name: (check, seconds[check.name]) for check in checks}
+
+
+def _report(full_suite, name: str):
+    (check, elapsed), budget = full_suite[name], BUDGETS[name]
+    status = "PASS" if check.ok and elapsed < budget else "FAIL"
+    print(f"ACCEPTANCE {status} {name} ({elapsed:.2f}s / budget {budget:.0f}s) {check.detail}")
+    assert check.ok, f"{name}: {check.detail}"
+    assert elapsed < budget, f"{name} exceeded its {budget:.0f}s budget ({elapsed:.2f}s)"
+
+
+def test_criterion_1_reference_column_reproduction(full_suite):
+    _report(full_suite, "reference_column_reproduction")
+
+
+def test_criterion_2_yoneda_degree_multiset(full_suite):
+    _report(full_suite, "yoneda_degree_multiset")
+
+
+def test_criterion_3_oracle_concordance_q1(full_suite):
+    _report(full_suite, "oracle_concordance_q1")
+
+
+def test_criterion_4_presentation_concordance(full_suite):
+    _report(full_suite, "omega_presentation_concordance")
+
+
+def test_criterion_5_exact_sequence_identity(full_suite):
+    _report(full_suite, "exact_sequence_identity")
+    _report(full_suite, "oracle_exact_sequence_identity")
+
+
+def test_criterion_6_series_equals_enumeration(full_suite):
+    _report(full_suite, "series_matches_enumeration")
+
+
+def test_criterion_7_property_suites(full_suite):
+    _report(full_suite, "property_suite")
+
+
+def test_criterion_8_y2_p3_column(full_suite):
+    _report(full_suite, "y2_p3_column")
+
+
+def test_supporting_calibration_of_vertex_tuples(full_suite):
+    # fixes the vertex-tuple orientation used by criteria 1 and 8
+    _report(full_suite, "vertex_tuple_calibration")
